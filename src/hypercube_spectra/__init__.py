@@ -8,7 +8,6 @@ from .boolfn import (
     MAX_N,
     BooleanFunction,
     FamilySpec,
-    Restriction,
     and_function,
     dictator,
     first_even_group,
@@ -77,7 +76,6 @@ __all__ = [
     "MAX_N",
     "BooleanFunction",
     "FamilySpec",
-    "Restriction",
     "and_function",
     "dictator",
     "first_even_group",

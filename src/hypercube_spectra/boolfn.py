@@ -162,21 +162,6 @@ def from_values(values: Sequence[int]) -> BooleanFunction:
 
 
 @dataclass(frozen=True)
-class Restriction:
-    """A choice of free coordinates plus +-1 values for the rest."""
-
-    base: BooleanFunction
-    free: frozenset[int]
-    assignment: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        self.base.restrict(self.free, dict(self.assignment))  # validates
-
-    def induced(self) -> BooleanFunction:
-        return self.base.restrict(self.free, dict(self.assignment))
-
-
-@dataclass(frozen=True)
 class FamilySpec:
     """A named family instance, e.g. parity:s=3,n=5."""
 

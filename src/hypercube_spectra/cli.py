@@ -423,6 +423,8 @@ def _cmd_family(args):
 
 def _resolve_workers(value: int | None) -> int:
     if value is not None:
+        if value < 1:
+            raise ValueError(f"--workers must be positive, got {value}")
         return value
     env = os.environ.get("HYPERCUBE_SPECTRA_WORKERS")
     if env:
@@ -450,7 +452,6 @@ def _cmd_search(args):
             metrics=tuple(args.metrics.split(",")) if args.metrics else search_mod.METRICS,
             checkpoint_every=args.checkpoint_every,
             chunk_size=args.chunk_size,
-            symmetry=args.symmetry,
             max_tables=args.max_tables,
         )
         records = search_mod.run(job, checkpoint_path=args.checkpoint, workers=workers)
@@ -521,7 +522,6 @@ def main(argv=None) -> int:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--chunk-size", type=int, default=4096)
-    p.add_argument("--symmetry", action="store_true")
     p.add_argument("--max-tables", type=int, default=search_mod.DEFAULT_BUDGET)
     p.add_argument("--workers", type=int)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -38,22 +39,21 @@ def min_entropy(spectrum: Spectrum) -> float:
     return 2.0 * spectrum.n - math.log2(top)
 
 
-def concentration_count(spectrum: Spectrum, delta: float) -> int:
-    """Smallest number of characters whose weight reaches 1 - delta.
+def concentration_count(spectrum: Spectrum, deltas: Sequence[float]) -> tuple[int, ...]:
+    """Smallest number of characters whose weight reaches 1 - delta, per delta.
 
-    Ties are broken by taking heavier weights first and smaller character
-    masks first, so the count is deterministic.
+    The count depends only on the weights in decreasing order (which of
+    several equal weights comes first cannot change a cumulative sum), so
+    the weights are sorted once and every delta is a binary search.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    squared = spectrum.squared()
-    masks = np.arange(1 << spectrum.n, dtype=np.int64)
-    order = np.lexsort((masks, -squared))
-    cumulative = np.cumsum(squared[order])
-    threshold = Fraction(1) - Fraction(delta)  # exact binary value of delta
-    # cum/4^n >= threshold, for integer cum, means cum >= this ceiling:
-    need = -(-threshold.numerator * 4**spectrum.n // threshold.denominator)
-    return int(np.searchsorted(cumulative, need, side="left")) + 1
+    for delta in deltas:
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    cumulative = np.cumsum(np.sort(spectrum.squared())[::-1])
+    thresholds = [Fraction(1) - Fraction(d) for d in deltas]  # exact binary value of delta
+    # cum/4^n >= t, for integer cum, means cum >= ceil(t 4^n):
+    need = [-(-t.numerator * 4**spectrum.n // t.denominator) for t in thresholds]
+    return tuple(int(i) + 1 for i in np.searchsorted(cumulative, need, side="left"))
 
 
 def term_sum_bits(profile: InfluenceProfile) -> float:
@@ -147,5 +147,5 @@ def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> A
         bound_bits=influence_entropy_bound(profile),
         bound_drop_one_bits=influence_entropy_bound_drop_one(profile),
         jensen_cap_bits=cap,
-        concentration=tuple((float(d), concentration_count(spectrum, d)) for d in deltas),
+        concentration=tuple(zip(map(float, deltas), concentration_count(spectrum, deltas))),
     )

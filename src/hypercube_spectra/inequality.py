@@ -24,6 +24,7 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .spectrum import (
     Spectrum,
+    _halves,
     influences_spectral,
     partial_hadamard_inplace,
     wht,
@@ -207,25 +208,18 @@ class Q31Report:
 def q31_report(spectrum: Spectrum) -> Q31Report:
     """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k.
 
-    Products of two coefficients stay below 2^(2n) and 2^(n-1) of them are
-    summed, so int64 is exact up to n = 21; larger n falls back to Python
-    integers.
+    int64 is exact for every n <= 24.  By AM-GM, |c_S c_{S+k}| <=
+    (c_S^2 + c_{S+k}^2) / 2, and each S appears in one pair only, so every
+    partial sum of the numerator 4^n N_k is at most
+    sum_S c_S^2 / 2 = 2^(2n-1) <= 2^47 (Parseval).  search.batch_stats
+    relies on the same bound.
     """
     n = spectrum.n
-    coeffs = spectrum.coeffs
     profile = influences_spectral(spectrum)
-    idx = np.arange(1 << n, dtype=np.int64)
+    magnitude = np.abs(spectrum.coeffs)
     per = []
     for k in range(1, n + 1):
-        bit = 1 << (k - 1)
-        lo = idx[(idx & bit) == 0]
-        if 3 * n - 1 <= 62:
-            num = int(np.abs(coeffs[lo] * coeffs[lo + bit]).sum())
-        else:
-            num = sum(
-                abs(int(x) * int(y)) for x, y in zip(coeffs[lo], coeffs[lo + bit])
-            )
-        numerator = Fraction(num, 4**n)
+        numerator = Fraction(int(np.einsum("ij,ij->", *_halves(magnitude, k - 1))), 4**n)
         influence = profile.per_coord[k - 1]
         ratio = numerator / influence if influence > 0 else None
         per.append(Q31Coordinate(k, numerator, influence, ratio))
@@ -271,11 +265,9 @@ def log_ratio_functional(f: BooleanFunction, v1, k: int) -> LogRatioReport:
         raise ValueError(f"coordinates must lie in 1..{f.n}")
     m = len(coords)
     work = partial_hadamard_inplace(f.values(), [c - 1 for c in coords])
-    bit = 1 << (k - 1)
-    idx = np.arange(1 << f.n, dtype=np.int64)
-    lo = idx[(idx & bit) == 0]
-    u = work[lo].astype(np.float64) ** 2 / 4.0**m
-    w = work[lo + bit].astype(np.float64) ** 2 / 4.0**m
+    lo, hi = _halves(work, k - 1)
+    u = lo.astype(np.float64) ** 2 / 4.0**m
+    w = hi.astype(np.float64) ** 2 / 4.0**m
     small = np.minimum(u, w)
     large = np.maximum(u, w)
     pos = small > 0.0

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import influences_combinatorial, partial_hadamard_inplace
+from .spectrum import _halves, influences_combinatorial, partial_hadamard_inplace
 
 LN2 = math.log(2.0)
 
@@ -101,9 +101,8 @@ def lemma22_check(f: BooleanFunction, j_set: Iterable[int], k: int):
     if k not in j:
         raise ValueError(f"coordinate k={k} must belong to J")
     work = partial_hadamard_inplace(f.values(), [c - 1 for c in j])
-    idx = np.arange(1 << f.n, dtype=np.int64)
-    hit = ((idx >> (k - 1)) & 1) == 1
-    total = int((work[hit] ** 2).sum())  # <= 2^(n+|J|), exact in int64
+    _, hit = _halves(work, k - 1)
+    total = int((hit**2).sum())  # <= 2^(n+|J|), exact in int64
     lhs = Fraction(total, 2 ** (f.n + len(j)))
     rhs = influences_combinatorial(f).per_coord[k - 1]
     return lhs, rhs

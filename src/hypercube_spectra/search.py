@@ -20,13 +20,12 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction, from_sign_bits
+from .boolfn import MAX_N, BooleanFunction
 from .entropy import AnalysisReport, analyze
-from .spectrum import hadamard_inplace
+from .spectrum import _halves, hadamard_inplace
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -37,7 +36,7 @@ METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen
 _MINIMIZED = frozenset({"jensen_slack"})
 
 DEFAULT_BUDGET = 1 << 16
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class SearchJob:
     metrics: tuple[str, ...] = METRICS
     checkpoint_every: int | None = None
     chunk_size: int = 4096
-    symmetry: bool = False
     max_tables: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
@@ -71,12 +69,8 @@ class SearchJob:
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
         if self.mode == "exhaustive":
-            cap = 5 if self.symmetry else 4
-            if self.n > cap:
-                raise ValueError(
-                    f"exhaustive mode supports n <= {cap} "
-                    f"({'with' if self.symmetry else 'without'} symmetry reduction)"
-                )
+            if self.n > 4:
+                raise ValueError(f"exhaustive mode supports n <= 4, got n={self.n}")
             if (1 << (1 << self.n)) > self.max_tables:
                 raise ValueError(
                     f"exhaustive n={self.n} needs {1 << (1 << self.n)} tables, "
@@ -107,7 +101,6 @@ class SearchJob:
             "metrics": list(self.metrics),
             "checkpoint_every": self.checkpoint_every,
             "chunk_size": self.chunk_size,
-            "symmetry": self.symmetry,
             "max_tables": self.max_tables,
         }
 
@@ -147,19 +140,14 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     n = size.bit_length() - 1
     coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
     squared = coeffs * coeffs
+    magnitude = np.abs(coeffs, out=coeffs)  # the signs are not needed again
     scale = 4.0**n
 
-    col = np.arange(size, dtype=np.int64)
     inf_num = np.empty((batch, n), dtype=np.int64)
-    # int64 keeps the cross-term sums exact while 3n-1 <= 62; beyond that the
-    # products (< 2^53) stay exact in float64 and only the sum rounds.
-    q31_num = np.empty((batch, n), dtype=np.int64 if 3 * n - 1 <= 62 else np.float64)
+    q31_num = np.empty((batch, n), dtype=np.int64)  # exact: see inequality.q31_report
     for k in range(n):
-        sel = ((col >> k) & 1) == 1
-        inf_num[:, k] = squared[:, sel].sum(axis=1)
-        lo = col[~sel]
-        pairs = coeffs[:, lo].astype(q31_num.dtype) * coeffs[:, lo | (1 << k)]
-        q31_num[:, k] = np.abs(pairs).sum(axis=1)
+        inf_num[:, k] = np.einsum("bij->b", _halves(squared, k)[1])
+        q31_num[:, k] = np.einsum("bij,bij->b", *_halves(magnitude, k))
 
     sq = squared.astype(np.float64)
     ent = 2.0 * n - (sq * np.log2(np.maximum(sq, 1.0))).sum(axis=1) / scale
@@ -243,43 +231,15 @@ def _sample_bits(n: int, seed: int, start: int, stop: int) -> tuple[list[int], n
     return packed, bits
 
 
-def _symmetry_index_maps(n: int) -> list[np.ndarray]:
-    """Index gather maps for every coordinate permutation + input negation."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    maps = []
-    for perm in permutations(range(n)):
-        permuted = np.zeros_like(idx)
-        for j, old in enumerate(perm):
-            permuted |= ((idx >> j) & 1) << old
-        for flip in range(1 << n):
-            maps.append(permuted ^ flip)
-    return maps
-
-
-def _canonical_tables(bits: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
-    weights = (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
-    full = np.int64((1 << bits.shape[1]) - 1)
-    best = np.full(bits.shape[0], full, dtype=np.int64)
-    for gather in maps:
-        packed = bits[:, gather].astype(np.int64) @ weights
-        np.minimum(best, packed, out=best)
-        np.minimum(best, full ^ packed, out=best)  # output negation
-    return best
-
-
-def _chunk_best(job: SearchJob, chunk_index: int, maps) -> dict[str, tuple[float, int]]:
+def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]]:
     start = chunk_index * job.chunk_size
     stop = min(start + job.chunk_size, job.total_indices)
     if job.mode == "exhaustive":
         tables, bits = _exhaustive_bits(job.n, start, stop)
     else:
         tables, bits = _sample_bits(job.n, job.seed, start, stop)
-    keep = np.ones(len(tables), dtype=bool)
-    if job.symmetry and job.mode == "exhaustive":
-        canonical = _canonical_tables(bits, maps)
-        keep &= canonical == np.asarray(tables, dtype=np.int64)
     stats = batch_stats(bits)
-    keep &= stats["nonconstant"]
+    keep = stats["nonconstant"]
     if not keep.any():
         return {}
     columns = metric_columns(stats)
@@ -298,8 +258,7 @@ def _chunk_best(job: SearchJob, chunk_index: int, maps) -> dict[str, tuple[float
 def _pool_chunk(args) -> dict:
     job_dict, chunk_index = args
     job = SearchJob(**{**job_dict, "metrics": tuple(job_dict["metrics"])})
-    maps = _symmetry_index_maps(job.n) if job.symmetry else None
-    return _chunk_best(job, chunk_index, maps)
+    return _chunk_best(job, chunk_index)
 
 
 def _better(metric: str, cand: tuple[float, int], best: tuple[float, int] | None) -> bool:
@@ -322,7 +281,9 @@ def _write_checkpoint(path: str, job: SearchJob, cursor: int, best: dict) -> Non
         "next_chunk": cursor,
         "total_chunks": job.total_chunks,
         "best": {
-            m: None if b is None else {"value": b[0], "table_hex": format(b[1], "x")}
+            m: None
+            if b is None
+            else {"value": b[0], "table_hex": BooleanFunction(job.n, b[1]).to_hex()}
             for m, b in best.items()
         },
         "complete": cursor >= job.total_chunks,
@@ -330,6 +291,8 @@ def _write_checkpoint(path: str, job: SearchJob, cursor: int, best: dict) -> Non
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -385,9 +348,8 @@ def _sweep(
                     _write_checkpoint(checkpoint_path, job, cursor, best)
                 batch_start += len(batch)
     else:
-        maps = _symmetry_index_maps(job.n) if job.symmetry else None
         for done, chunk in enumerate(pending, start=1):
-            merge(_chunk_best(job, chunk, maps))
+            merge(_chunk_best(job, chunk))
             cursor = chunk + 1
             if checkpoint_path and (done % save_every == 0 or done == len(pending)):
                 _write_checkpoint(checkpoint_path, job, cursor, best)
@@ -417,11 +379,22 @@ def resume(
     workers: int = 1,
     max_chunks: int | None = None,
 ) -> list[ExtremalRecord] | None:
-    """Continue a checkpointed job; requires a matching job hash."""
-    with open(checkpoint_path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
+    """Continue a checkpointed job; requires a matching job hash.
+
+    A checkpoint that is missing, unreadable, not JSON, of another format or
+    lacking a field raises ValueError.
+    """
+    try:
+        with open(checkpoint_path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read checkpoint {checkpoint_path!r}: {exc.strerror}") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {fmt!r}")
+    missing = [k for k in ("job", "job_hash", "next_chunk", "best", "complete") if k not in doc]
+    if missing:
+        raise ValueError(f"checkpoint {checkpoint_path!r} lacks {', '.join(missing)}")
     stored = doc["job"]
     job = SearchJob(**{**stored, "metrics": tuple(stored["metrics"])})
     if job.job_hash() != doc["job_hash"]:
@@ -429,7 +402,9 @@ def resume(
     best = {}
     for metric in job.metrics:
         entry = doc["best"].get(metric)
-        best[metric] = None if entry is None else (entry["value"], int(entry["table_hex"], 16))
+        if entry is not None:
+            entry = (entry["value"], BooleanFunction.from_hex(job.n, entry["table_hex"]).table)
+        best[metric] = entry
     if doc["complete"]:
         return _finalize(job, best)
     return _sweep(job, best, doc["next_chunk"], checkpoint_path, workers, max_chunks)

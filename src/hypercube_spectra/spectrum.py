@@ -16,23 +16,22 @@ import numpy as np
 from .boolfn import BooleanFunction
 
 
+def _halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (lo, hi) pairing each index S without `bit` with S xor 2^bit.
+
+    The last axis is reshaped to (-1, 2, 2^bit); no copy is made.
+    """
+    v = values.reshape(*values.shape[:-1], -1, 2, 1 << bit)
+    return v[..., 0, :], v[..., 1, :]
+
+
 def hadamard_inplace(values: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along the last axis, in place.
 
     The last axis length must be a power of two.  Works batched: any
     leading axes are carried along untouched.
     """
-    size = values.shape[-1]
-    flat = values.reshape(-1, size)
-    h = 1
-    while h < size:
-        v = flat.reshape(flat.shape[0], -1, 2, h)
-        even = v[:, :, 0, :] + v[:, :, 1, :]
-        odd = v[:, :, 0, :] - v[:, :, 1, :]
-        v[:, :, 0, :] = even
-        v[:, :, 1, :] = odd
-        h *= 2
-    return values
+    return partial_hadamard_inplace(values, range(values.shape[-1].bit_length() - 1))
 
 
 def partial_hadamard_inplace(values: np.ndarray, bit_positions) -> np.ndarray:
@@ -43,14 +42,12 @@ def partial_hadamard_inplace(values: np.ndarray, bit_positions) -> np.ndarray:
     still select the assignment to the untouched coordinates.  Entry i is
     then 2^|V| times the coefficient fhat_{restriction}(S).
     """
-    size = values.shape[-1]
-    flat = values.reshape(-1, size)
     for b in sorted(bit_positions):
-        v = flat.reshape(flat.shape[0], -1, 2, 1 << b)
-        even = v[:, :, 0, :] + v[:, :, 1, :]
-        odd = v[:, :, 0, :] - v[:, :, 1, :]
-        v[:, :, 0, :] = even
-        v[:, :, 1, :] = odd
+        lo, hi = _halves(values, b)
+        even = lo + hi
+        odd = lo - hi
+        lo[...] = even
+        hi[...] = odd
     return values
 
 
@@ -71,10 +68,6 @@ class Spectrum:
 
     def parseval_ok(self) -> bool:
         return int(self.squared().sum()) == 4**self.n
-
-    def weight(self, mask: int) -> Fraction:
-        """fhat(S)^2 as an exact rational."""
-        return Fraction(int(self.coeffs[mask]) ** 2, 4**self.n)
 
 
 def wht(f: BooleanFunction) -> Spectrum:
@@ -101,21 +94,19 @@ def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:
     """I_k = P(f changes when coordinate k flips), counted on the table."""
     bits = f.bits()
     out = []
-    for k in range(1, f.n + 1):
-        v = bits.reshape(-1, 2, 1 << (k - 1))
-        differing_pairs = int(np.count_nonzero(v[:, 0, :] != v[:, 1, :]))
-        out.append(Fraction(differing_pairs, 1 << (f.n - 1)))
+    for k in range(f.n):
+        lo, hi = _halves(bits, k)
+        out.append(Fraction(int(np.count_nonzero(lo != hi)), 1 << (f.n - 1)))
     return InfluenceProfile(tuple(out))
 
 
 def influences_spectral(spectrum: Spectrum) -> InfluenceProfile:
     """I_k = sum over S containing k of fhat(S)^2, from integer coefficients."""
     squared = spectrum.squared()
-    idx = np.arange(1 << spectrum.n, dtype=np.int64)
     out = []
-    for k in range(1, spectrum.n + 1):
-        num = int(squared[(idx >> (k - 1)) & 1 == 1].sum())
-        out.append(Fraction(num, 4**spectrum.n))
+    for k in range(spectrum.n):
+        _, hi = _halves(squared, k)
+        out.append(Fraction(int(hi.sum()), 4**spectrum.n))
     return InfluenceProfile(tuple(out))
 
 

@@ -7,7 +7,6 @@ from conftest import brute_influence, brute_restrict, random_function
 from hypercube_spectra import (
     BooleanFunction,
     FamilySpec,
-    Restriction,
     and_function,
     dictator,
     first_even_group,
@@ -128,13 +127,6 @@ def test_restrict_validation():
         f.restrict([1, 2], {})
     with pytest.raises(ValueError):
         f.restrict([1, 4], {2: 1, 3: 1})
-
-
-def test_restriction_type():
-    r = Restriction(majority(3), frozenset({1, 2}), ((3, 1),))
-    assert r.induced() == majority(3).restrict([1, 2], {3: 1})
-    with pytest.raises(ValueError):
-        Restriction(majority(3), frozenset({1}), ((3, 1),))
 
 
 @given(functions(max_n=5), st.data())

@@ -222,6 +222,50 @@ def test_search_cli_usage_errors(capsys):
     assert "checkpoint" in err
 
 
+def _assert_error_envelope(code, out, needle):
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert needle in doc["payload"]["message"]
+
+
+def test_search_cli_rejects_nonpositive_workers(capsys):
+    for value in ("0", "-2"):
+        code, out, _ = run_cli(
+            capsys, "search", "--n", "2", "--mode", "exhaustive", "--workers", value
+        )
+        _assert_error_envelope(code, out, "--workers")
+
+
+def test_search_cli_resume_refuses_format_1_checkpoint(capsys, tmp_path):
+    path = tmp_path / "old.json"
+    job = {"n": 2, "mode": "exhaustive", "count": None, "seed": None,
+           "metrics": ["q31_worst"], "checkpoint_every": None, "chunk_size": 8,
+           "symmetry": False, "max_tables": 65536}
+    path.write_text(json.dumps({"format": 1, "job": job, "job_hash": "0",
+                                "next_chunk": 0, "total_chunks": 2,
+                                "best": {"q31_worst": None}, "complete": False}))
+    code, out, _ = run_cli(capsys, "search", "--resume", "--checkpoint", str(path))
+    _assert_error_envelope(code, out, "unsupported checkpoint format 1")
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        (None, "cannot read checkpoint"),
+        ('{"format": 2, "job": {"n": 2', "Expecting"),  # truncated JSON
+        ('{"format": 2, "job": {}, "job_hash": "0"}', "lacks next_chunk, best, complete"),
+    ],
+    ids=["missing", "truncated", "incomplete"],
+)
+def test_search_cli_resume_bad_checkpoint(capsys, tmp_path, content, needle):
+    path = tmp_path / "ckpt.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, _ = run_cli(capsys, "search", "--resume", "--checkpoint", str(path))
+    _assert_error_envelope(code, out, needle)
+
+
 def test_family_first_even_group_report(capsys):
     code, out, _ = run_cli(
         capsys, "family", "--family", "first-even-group:s=1,t=4", "--emit-hex"

@@ -70,27 +70,26 @@ def test_min_entropy_below_entropy(n, seed):
 
 
 def test_concentration_examples():
-    assert concentration_count(wht(parity(3)), 0.5) == 1
-    assert concentration_count(wht(majority(3)), 0.3) == 3
-    assert concentration_count(wht(majority(3)), 0.2) == 4
+    assert concentration_count(wht(parity(3)), (0.5,)) == (1,)
+    assert concentration_count(wht(majority(3)), (0.3, 0.2)) == (3, 4)
     # all four weights equal (1/4): need ceil(3/4 / (1/4)) = 3 of them
-    assert concentration_count(wht(and_function(2)), 0.25) == 3
+    assert concentration_count(wht(and_function(2)), (0.25,)) == (3,)
 
 
 def test_concentration_monotone_and_validated():
     s = wht(majority(5))
-    counts = [concentration_count(s, d) for d in (0.9, 0.5, 0.2, 0.05, 0.01)]
-    assert counts == sorted(counts)
+    counts = concentration_count(s, (0.9, 0.5, 0.2, 0.05, 0.01))
+    assert list(counts) == sorted(counts)
     with pytest.raises(ValueError):
-        concentration_count(s, 0.0)
+        concentration_count(s, (0.0,))
     with pytest.raises(ValueError):
-        concentration_count(s, 1.0)
+        concentration_count(s, (0.5, 1.0))
 
 
 def test_concentration_tie_break_is_deterministic():
     s = wht(and_function(2))  # weights 1/4, 1/4, 1/4, 1/4
-    # heavier first, then smaller mask: identical weights -> masks 0,1,2
-    assert concentration_count(s, 0.6) == 2
+    # which of the equal weights come first cannot change the count
+    assert concentration_count(s, (0.6,)) == (2,)
 
 
 def test_term_sum_examples():

@@ -12,6 +12,7 @@ from hypercube_spectra import (
     and_function,
     dictator,
     eq27_gap,
+    from_sign_bits,
     influences_spectral,
     lemma24_gap,
     log_ratio_functional,
@@ -150,6 +151,20 @@ def test_q31_matches_brute_force():
             assert report.per_coord[k - 1].numerator == expected
             if prof.per_coord[k - 1] > 0:
                 assert report.per_coord[k - 1].ratio == expected / prof.per_coord[k - 1]
+
+
+def test_q31_int64_exact_at_am_gm_ceiling():
+    # Inner-product bent function x1x2 + x3x4 + ... + x21x22 at n = 22: every
+    # |c_S| = 2^11, so each numerator sum reaches the AM-GM ceiling 2^(2n-1).
+    n = 22
+    idx = np.arange(1 << n, dtype=np.int64)
+    bits = np.bitwise_count(idx & (idx >> 1) & 0x155555) & 1
+    s = wht(from_sign_bits(bits.astype(np.uint8)))
+    assert (np.abs(s.coeffs) == 1 << 11).all()
+    report = q31_report(s)
+    for entry in report.per_coord:
+        assert entry.numerator == entry.influence == Fraction(1, 2)
+        assert entry.ratio == 1
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))

@@ -14,7 +14,7 @@ from hypercube_spectra.search import METRICS
 
 def test_job_validation():
     with pytest.raises(ValueError):
-        SearchJob(n=5, mode="exhaustive")  # needs symmetry at n=5
+        SearchJob(n=5, mode="exhaustive")  # exhaustive mode stops at n=4
     with pytest.raises(ValueError):
         SearchJob(n=3, mode="sample", count=10)  # seed missing
     with pytest.raises(ValueError):
@@ -25,8 +25,6 @@ def test_job_validation():
         SearchJob(n=2, mode="exhaustive", metrics=("entropy",))
     with pytest.raises(ValueError):
         SearchJob(n=4, mode="exhaustive", max_tables=1 << 10)  # over budget
-    with pytest.raises(ValueError):
-        SearchJob(n=6, mode="exhaustive", symmetry=True)
 
 
 def test_exhaustive_n2_known_extremals():
@@ -86,7 +84,10 @@ def test_resume_of_completed_job_returns_records(tmp_path):
     job = SearchJob(n=2, mode="exhaustive", chunk_size=8)
     path = str(tmp_path / "done.json")
     records = run_search(job, checkpoint_path=path)
-    assert json.loads(open(path).read())["complete"]
+    state = json.loads(open(path).read())
+    assert state["complete"]
+    for record in records:  # witnesses are stored in the package's hex form
+        assert state["best"][record.metric]["table_hex"] == record.witness_hex
     assert resume_search(path) == records
 
 
@@ -99,14 +100,6 @@ def test_resume_rejects_tampered_job(tmp_path):
     open(path, "w").write(json.dumps(state))
     with pytest.raises(ValueError, match="hash"):
         resume_search(path)
-
-
-def test_symmetry_reduction_preserves_extremal_values():
-    plain = run_search(SearchJob(n=3, mode="exhaustive", max_tables=1 << 8))
-    reduced = run_search(SearchJob(n=3, mode="exhaustive", symmetry=True, max_tables=1 << 8))
-    for a, b in zip(plain, reduced):
-        assert a.metric == b.metric
-        assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
 def test_sample_mode_ignores_chunk_partitioning():

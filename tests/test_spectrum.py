@@ -117,7 +117,7 @@ def test_weighted_degree_sum_identity():
 
 
 def test_batch_stats_matches_single_function_paths():
-    from hypercube_spectra import fourier_entropy, min_entropy
+    from hypercube_spectra import fourier_entropy, min_entropy, q31_report
 
     rng = np.random.default_rng(8)
     fns = [random_function(rng, 5) for _ in range(40)]
@@ -128,4 +128,9 @@ def test_batch_stats_matches_single_function_paths():
         assert stats["entropy"][i] == pytest.approx(fourier_entropy(s), abs=1e-12)
         assert stats["min_entropy"][i] == pytest.approx(min_entropy(s), abs=1e-12)
         assert stats["influence_total"][i] == float(influences_combinatorial(f).total)
+        assert stats["influence_num"][i].tolist() == [
+            ik * 4**5 for ik in influences_combinatorial(f).per_coord
+        ]
+        # both sides are correctly rounded quotients of the same integers
+        assert stats["q31_worst"][i] == float(q31_report(s).worst)
         assert int(stats["parseval"][i]) == 4**5
