@@ -23,12 +23,6 @@ from .entropy import (
     AnalysisReport,
     analyze,
     concentration_count,
-    fourier_entropy,
-    influence_entropy_bound,
-    influence_entropy_bound_drop_one,
-    jensen_cap_bits,
-    min_entropy,
-    term_sum_bits,
 )
 from .inequality import (
     LogRatioReport,
@@ -89,12 +83,6 @@ __all__ = [
     "AnalysisReport",
     "analyze",
     "concentration_count",
-    "fourier_entropy",
-    "influence_entropy_bound",
-    "influence_entropy_bound_drop_one",
-    "jensen_cap_bits",
-    "min_entropy",
-    "term_sum_bits",
     "LogRatioReport",
     "Q31Report",
     "ScalarGridSpec",

@@ -12,6 +12,7 @@ notation, so identical inputs and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .boolfn import BooleanFunction, FamilySpec, from_sign_bits, make_family
-from .entropy import analyze, fourier_entropy, term_sum_bits
+from .entropy import analyze
 from .inequality import (
     DEFAULT_EPS_LIST,
     ScalarGridSpec,
@@ -32,9 +33,9 @@ from .inequality import (
     sweep_gap_random,
 )
 from .moments import chain, lemma22_check, moment_curve
-from .search import SearchJob, batch_stats
+from .search import SearchJob, chunk_stats, metric_columns
 from . import search as search_mod
-from .spectrum import influences_spectral, wht
+from .spectrum import wht
 
 _VIOLATION_TOL = 1e-9
 
@@ -141,6 +142,10 @@ def _parse_eps_values(text: str | None) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p)
 
 
+def _metric_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else search_mod.METRICS
+
+
 def _rng_function(rng: np.random.Generator, n: int) -> BooleanFunction:
     raw = rng.integers(0, 256, size=(1 << n) // 8 or 1, dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")[: 1 << n]
@@ -187,7 +192,7 @@ def _cmd_moments(args):
 def _cmd_chain(args):
     f, _ = _load_function(args)
     order = _parse_coords(args.order, f.n) if args.order else None
-    report = chain(f, args.eps, order=order, allow_large=args.allow_large)
+    report = chain(f, args.eps, order=order)
     ok = all(s.delta >= s.floor - _VIOLATION_TOL for s in report.steps)
     ok = ok and report.final >= report.telescoped_floor - _VIOLATION_TOL
     return _fingerprint(f), ("ok" if ok else "violation"), report.as_dict()
@@ -286,44 +291,31 @@ def _verify_lemma31(args):
 
 
 def _verify_theorem(args):
+    if args.random is not None:
+        if args.n is None or args.seed is None:
+            raise ValueError("--random needs --n and --seed")
+        jobs = [SearchJob(n=args.n, mode="sample", count=args.random, seed=args.seed)]
+        mode = {"mode": "sample", "n": args.n, "count": args.random, "seed": args.seed}
+    else:
+        jobs = [SearchJob(n=n, mode="exhaustive") for n in range(1, args.max_n + 1)]
+        mode = {"mode": "exhaustive", "max_n": args.max_n}
     checked = 0
     violations = 0
     max_ratio = -math.inf
     witness = None
-
-    def scan(bits: np.ndarray, tables: list[int], n: int):
-        nonlocal checked, violations, max_ratio, witness
-        stats = batch_stats(bits)
-        keep = stats["nonconstant"]
-        checked += int(np.count_nonzero(keep))
-        ent, bound = stats["entropy"], stats["bound"]
-        drop = stats["bound_drop_one"]
-        bad = keep & ((ent > bound + _VIOLATION_TOL) | (ent > drop + _VIOLATION_TOL))
-        violations += int(np.count_nonzero(bad))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(keep & (bound > 0), ent / np.where(bound > 0, bound, 1.0), -np.inf)
-        top = int(np.argmax(ratio))
-        if ratio[top] > max_ratio:
-            max_ratio = float(ratio[top])
-            witness = {"n": n, "fn": BooleanFunction(n, int(tables[top])).to_hex()}
-
-    if args.random:
-        if args.n is None or args.seed is None:
-            raise ValueError("--random needs --n and --seed")
-        step = 4096
-        for start in range(0, args.random, step):
-            stop = min(start + step, args.random)
-            tables, bits = search_mod._sample_bits(args.n, args.seed, start, stop)
-            scan(bits, tables, args.n)
-        mode = {"mode": "sample", "n": args.n, "count": args.random, "seed": args.seed}
-    else:
-        for n in range(1, args.max_n + 1):
-            total = 1 << (1 << n)
-            for start in range(0, total, 4096):
-                stop = min(start + 4096, total)
-                tables, bits = search_mod._exhaustive_bits(n, start, stop)
-                scan(bits, tables, n)
-        mode = {"mode": "exhaustive", "max_n": args.max_n}
+    for job in jobs:
+        for chunk in range(job.total_chunks):
+            tables, stats = chunk_stats(job, chunk)
+            keep = stats["nonconstant"]
+            checked += int(np.count_nonzero(keep))
+            ent, bound, drop = stats["entropy"], stats["bound"], stats["bound_drop_one"]
+            bad = keep & ((ent > bound + _VIOLATION_TOL) | (ent > drop + _VIOLATION_TOL))
+            violations += int(np.count_nonzero(bad))
+            ratio = np.where(keep, metric_columns(stats)["ent_over_bound"], -np.inf)
+            top = int(np.argmax(ratio))
+            if ratio[top] > max_ratio:
+                max_ratio = float(ratio[top])
+                witness = {"n": job.n, "fn": BooleanFunction(job.n, tables[top]).to_hex()}
     payload = {
         **mode,
         "checked": checked,
@@ -335,44 +327,45 @@ def _verify_theorem(args):
     return None, ("ok" if violations == 0 else "violation"), payload
 
 
-def _limit_blocks(s: int, t: int) -> list[float]:
+def _limit_blocks(t: int) -> list[float]:
     return [2.0 ** (2 - p) / 3.0 for p in range(1, t + 1)]
 
 
 def _family_payload(spec: FamilySpec, f: BooleanFunction, targets: set[str], emit_hex: bool):
-    profile = influences_spectral(wht(f))
+    report = analyze(f)
+    influences = report.influences
     payload: dict = {
         "family": spec.text(),
         "n": f.n,
-        "entropy_bits": fourier_entropy(wht(f)),
-        "influence_total": profile.total,
-        "term_sum_bits": term_sum_bits(profile),
+        "entropy_bits": report.entropy_bits,
+        "influence_total": report.influence_total,
+        "term_sum_bits": report.term_sum_bits,
     }
     if emit_hex:
         payload["hex"] = f.to_hex()
     if "influences" in targets:
-        payload["influences"] = [str(ik) for ik in profile.per_coord]
+        payload["influences"] = [str(ik) for ik in influences]
     name = spec.name
     if "limits" in targets and name == "first-even-group":
         s = int(spec.params["s"])
         t = int(spec.params["t"])
-        limits = _limit_blocks(s, t)
+        limits = _limit_blocks(t)
         rows = []
         max_dev = 0.0
         for k in range(1, f.n + 1):
             p = (k - 1) // s + 1
-            dev = abs(float(profile.per_coord[k - 1]) - limits[p - 1])
+            dev = abs(float(influences[k - 1]) - limits[p - 1])
             max_dev = max(max_dev, dev)
             rows.append(
                 {
                     "coord": k,
                     "block": p,
-                    "influence": str(profile.per_coord[k - 1]),
+                    "influence": str(influences[k - 1]),
                     "block_limit": limits[p - 1],
                     "deviation": dev,
                 }
             )
-        total = float(profile.total)
+        total = float(report.influence_total)
         total_limit = 4.0 * s / 3.0
         payload["limits"] = {
             "per_coord": rows,
@@ -382,25 +375,23 @@ def _family_payload(spec: FamilySpec, f: BooleanFunction, targets: set[str], emi
             "influence_total_limit": total_limit,
             "influence_total_rel_dev": abs(total - total_limit) / total_limit,
         }
-        term = term_sum_bits(profile)
         # (4/3)(2 - log2(4/3)) s simplifies to (4/3) log2(3) s; both printed.
         form_a = 4.0 / 3.0 * math.log2(3.0) * s
         form_b = 4.0 / 3.0 * (2.0 - math.log2(4.0 / 3.0)) * s
         payload["term_sum_limit"] = {
             "four_thirds_log2_3_s": form_a,
             "four_thirds_2_minus_log2_4_3_s": form_b,
-            "rel_dev": abs(term - form_a) / form_a,
+            "rel_dev": abs(report.term_sum_bits - form_a) / form_a,
         }
     if "limits" in targets and name == "minblock":
         s = int(spec.params["s"])
         expected = Fraction(1, 1 << (s - 1))
-        total = float(profile.total)
-        cap = total * math.log2(f.n / total)
+        cap = report.jensen_cap_bits
         payload["limits"] = {
             "expected_influence": str(expected),
-            "influences_ok": all(ik == expected for ik in profile.per_coord),
+            "influences_ok": all(ik == expected for ik in influences),
             "jensen_cap_bits": cap,
-            "term_sum_abs_dev": abs(term_sum_bits(profile) - cap),
+            "term_sum_abs_dev": abs(report.term_sum_bits - cap),
         }
     if "limits" in targets and name == "parity":
         payload["limits"] = {
@@ -437,23 +428,19 @@ def _resolve_workers(value: int | None) -> int:
 
 def _cmd_search(args):
     workers = _resolve_workers(args.workers)
+    fields = [field.name for field in dataclasses.fields(SearchJob)]
+    given = {name: getattr(args, name) for name in fields if name in args}
     if args.resume:
         if not args.checkpoint:
             raise ValueError("--resume requires --checkpoint PATH")
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ValueError(f"--resume takes the job from the checkpoint; drop {flags}")
         records = search_mod.resume(args.checkpoint, workers=workers)
     else:
-        if args.n is None:
+        if "n" not in given:
             raise ValueError("search requires --n")
-        job = SearchJob(
-            n=args.n,
-            mode=args.mode,
-            count=args.count,
-            seed=args.seed,
-            metrics=tuple(args.metrics.split(",")) if args.metrics else search_mod.METRICS,
-            checkpoint_every=args.checkpoint_every,
-            chunk_size=args.chunk_size,
-            max_tables=args.max_tables,
-        )
+        job = SearchJob(**{"mode": "exhaustive", **given})
         records = search_mod.run(job, checkpoint_path=args.checkpoint, workers=workers)
     lines = [render_json(r.as_dict()) for r in records]
     bad = any(
@@ -484,7 +471,6 @@ def main(argv=None) -> int:
     _add_fn_args(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--order", help="comma-separated coordinate order")
-    p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("verify", help="numerical verification sweeps")
     vsub = p.add_subparsers(dest="what", required=True)
@@ -513,16 +499,17 @@ def main(argv=None) -> int:
     _add_fn_args(p)
 
     p = sub.add_parser("search", help="extremal sweep over truth tables")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--metrics", help="comma list; default: all")
+    job = {"default": argparse.SUPPRESS}  # only given job flags reach args
+    p.add_argument("--n", type=int, **job)
+    p.add_argument("--mode", choices=("exhaustive", "sample"), **job)
+    p.add_argument("--count", type=int, **job)
+    p.add_argument("--seed", type=int, **job)
+    p.add_argument("--metrics", type=_metric_list, help="comma list; default: all", **job)
     p.add_argument("--checkpoint")
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--chunk-size", type=int, default=4096)
-    p.add_argument("--max-tables", type=int, default=search_mod.DEFAULT_BUDGET)
+    p.add_argument("--resume", action="store_true", help="continue --checkpoint; no job flags")
+    p.add_argument("--checkpoint-every", type=int, **job)
+    p.add_argument("--chunk-size", type=int, **job)
+    p.add_argument("--max-tables", type=int, **job)
     p.add_argument("--workers", type=int)
 
     p = sub.add_parser("family", help="named family instance report")

@@ -14,29 +14,30 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import InfluenceProfile, Spectrum, influences_spectral, wht
+from .spectrum import Spectrum, influence_numerators, wht
 
 LN2 = math.log(2.0)
+LN4 = math.log(4.0)
 
 DEFAULT_DELTAS = (0.5, 0.25, 0.1, 0.01)
 
 
-def fourier_entropy(spectrum: Spectrum) -> float:
-    """Ent(f) in bits.
+def spectral_entropies(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ent(f), min-entropy) in bits from squared integer coefficients.
 
-    With integer coefficients c_S = 2^n fhat(S) this is
-    2n - sum(c^2 log2 c^2) / 4^n, and every c^2/4^n is an exact dyadic
-    double, so the only rounding is in log2 and the final sum.
+    The last axis holds c_S^2 = 4^n fhat(S)^2; leading axes are a batch.
+    Ent is 2n - sum(c^2 log2 c^2) / 4^n, and every c^2 is exact in a
+    double (c^2 <= 2^48), so the only rounding is in log2 and the sum.
+    The log is taken in place on the one float copy.  The min-entropy
+    log2(1 / max_S fhat(S)^2) is never above Ent.
     """
-    squared = spectrum.squared().astype(np.float64)
-    logs = np.log2(np.maximum(squared, 1.0))  # c^2 in {0,1} contributes 0 either way
-    return 2.0 * spectrum.n - float((squared * logs).sum()) / 4.0**spectrum.n
-
-
-def min_entropy(spectrum: Spectrum) -> float:
-    """log2(1 / max_S fhat(S)^2), always <= Ent(f)."""
-    top = int(spectrum.squared().max())
-    return 2.0 * spectrum.n - math.log2(top)
+    n = squared.shape[-1].bit_length() - 1
+    weights = squared.astype(np.float64)
+    terms = np.maximum(weights, 1.0)  # c^2 in {0,1} contributes 0 either way
+    np.log2(terms, out=terms)
+    terms *= weights
+    entropy = 2.0 * n - terms.sum(axis=-1) / 4.0**n
+    return entropy, 2.0 * n - np.log2(squared.max(axis=-1))
 
 
 def concentration_count(spectrum: Spectrum, deltas: Sequence[float]) -> tuple[int, ...]:
@@ -56,45 +57,32 @@ def concentration_count(spectrum: Spectrum, deltas: Sequence[float]) -> tuple[in
     return tuple(int(i) + 1 for i in np.searchsorted(cumulative, need, side="left"))
 
 
-def term_sum_bits(profile: InfluenceProfile) -> float:
-    """sum_k I_k log2(1/I_k), skipping zero influences."""
-    return math.fsum(
-        -float(ik) * math.log2(float(ik)) for ik in profile.per_coord if ik > 0
-    )
+def influence_floats(influences: np.ndarray) -> dict[str, np.ndarray]:
+    """Float statistics of the influences I_k on the last axis.
 
-
-def influence_entropy_bound(profile: InfluenceProfile) -> float:
-    """(3 I(f) + sum_k I_k ln(4/I_k)) / ln 2, an upper bound for Ent(f)."""
-    total = float(profile.total)
-    terms = math.fsum(
-        float(ik) * math.log(4.0 / float(ik)) for ik in profile.per_coord if ik > 0
-    )
-    return (3.0 * total + terms) / LN2
-
-
-def influence_entropy_bound_drop_one(profile: InfluenceProfile) -> float:
-    """Same bound with the single largest I_k ln(4/I_k) term removed.
-
-    Dropping one term is justified because the underlying restriction
-    argument can start from any coordinate; the 3 I(f) part stays.
+    total = I(f); term_sum = sum_k I_k log2(1/I_k); bound = (3 I(f) +
+    sum_k I_k ln(4/I_k)) / ln 2; bound_drop_one drops the largest term, as
+    the restriction argument may start from any coordinate; jensen_cap =
+    I(f) log2(n / I(f)) >= term_sum by concavity, 0 where I = 0.  Sorting
+    first fixes the order of every sum, so the results are bitwise
+    invariant under relabelling; x ln(4/x) increases on [0, 1], so the
+    largest term is the last.
     """
-    total = float(profile.total)
-    terms = sorted(
-        float(ik) * math.log(4.0 / float(ik)) for ik in profile.per_coord if ik > 0
-    )
-    return (3.0 * total + math.fsum(terms[:-1])) / LN2
-
-
-def jensen_cap_bits(profile: InfluenceProfile) -> float:
-    """I(f) log2(n / I(f)), an upper bound for sum_k I_k log2(1/I_k).
-
-    Concavity of x log2(1/x) over the n coordinates gives the cap.
-    Undefined for constant functions (I = 0).
-    """
-    total = float(profile.total)
-    if total == 0.0:
-        raise ValueError("jensen cap is undefined for constant functions")
-    return total * math.log2(profile.n / total)
+    n = influences.shape[-1]
+    inf = np.sort(influences, axis=-1)
+    total = inf.sum(axis=-1)  # exact: multiples of 4^-n summing to at most n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_inf = np.log(inf)
+        terms = np.where(inf > 0.0, inf * (LN4 - log_inf), 0.0)
+        term_sum = np.where(inf > 0.0, -inf * log_inf, 0.0).sum(axis=-1) / LN2
+        cap = np.where(total > 0.0, total * np.log2(n / total), 0.0)
+    return {
+        "total": total,
+        "term_sum": term_sum,
+        "bound": (3.0 * total + terms.sum(axis=-1)) / LN2,
+        "bound_drop_one": (3.0 * total + terms[..., :-1].sum(axis=-1)) / LN2,
+        "jensen_cap": cap,
+    }
 
 
 @dataclass(frozen=True)
@@ -132,20 +120,23 @@ class AnalysisReport:
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
     """One-stop spectral report: entropies, influences, bounds, concentration."""
     spectrum = wht(f)
-    profile = influences_spectral(spectrum)
-    try:
-        cap = jensen_cap_bits(profile)
-    except ValueError:
-        cap = None
+    concentration = concentration_count(spectrum, deltas)
+    squared = spectrum.squared()
+    del spectrum  # only squares are needed from here; frees the coefficients
+    numerators = influence_numerators(squared)
+    entropy, min_entropy = spectral_entropies(squared)
+    scale = 4**f.n
+    floats = influence_floats(numerators / float(scale))
+    total = Fraction(int(numerators.sum()), scale)
     return AnalysisReport(
         n=f.n,
-        entropy_bits=fourier_entropy(spectrum),
-        min_entropy_bits=min_entropy(spectrum),
-        influences=profile.per_coord,
-        influence_total=profile.total,
-        term_sum_bits=term_sum_bits(profile),
-        bound_bits=influence_entropy_bound(profile),
-        bound_drop_one_bits=influence_entropy_bound_drop_one(profile),
-        jensen_cap_bits=cap,
-        concentration=tuple(zip(map(float, deltas), concentration_count(spectrum, deltas))),
+        entropy_bits=float(entropy),
+        min_entropy_bits=float(min_entropy),
+        influences=tuple(Fraction(int(v), scale) for v in numerators),
+        influence_total=total,
+        term_sum_bits=float(floats["term_sum"]),
+        bound_bits=float(floats["bound"]),
+        bound_drop_one_bits=float(floats["bound_drop_one"]),
+        jensen_cap_bits=float(floats["jensen_cap"]) if total else None,
+        concentration=tuple(zip(map(float, deltas), concentration)),
     )

@@ -25,9 +25,9 @@ from .boolfn import BooleanFunction
 from .spectrum import (
     Spectrum,
     _halves,
-    influences_spectral,
+    influence_numerators,
+    influences_combinatorial,
     partial_hadamard_inplace,
-    wht,
 )
 
 DEFAULT_EPS_LIST = tuple(0.01 + 0.02 * k for k in range(25))  # 0.01 .. 0.49
@@ -205,27 +205,45 @@ class Q31Report:
         }
 
 
-def q31_report(spectrum: Spectrum) -> Q31Report:
-    """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k.
+def q31_numerators(coeffs: np.ndarray) -> np.ndarray:
+    """4^n N_k = sum_{S not cont. k} |c_S c_{S+k}|, shape (..., n).
 
-    int64 is exact for every n <= 24.  By AM-GM, |c_S c_{S+k}| <=
-    (c_S^2 + c_{S+k}^2) / 2, and each S appears in one pair only, so every
-    partial sum of the numerator 4^n N_k is at most
-    sum_S c_S^2 / 2 = 2^(2n-1) <= 2^47 (Parseval).  search.batch_stats
-    relies on the same bound.
+    `coeffs` holds integer coefficients along its last axis; any leading
+    axes are a batch.  int64 is exact for every n <= 24.  By AM-GM,
+    |c_S c_{S+k}| <= (c_S^2 + c_{S+k}^2) / 2, and each S appears in one
+    pair only, so every partial sum is at most sum_S c_S^2 / 2 = 2^(2n-1)
+    <= 2^47 (Parseval).
     """
-    n = spectrum.n
-    profile = influences_spectral(spectrum)
-    magnitude = np.abs(spectrum.coeffs)
+    n = coeffs.shape[-1].bit_length() - 1
+    magnitude = np.abs(coeffs)
+    out = np.empty((*coeffs.shape[:-1], n), dtype=np.int64)
+    for k in range(n):
+        out[..., k] = np.einsum("...ij,...ij->...", *_halves(magnitude, k))
+    return out
+
+
+def q31_worst(q31_num: np.ndarray, influence_num: np.ndarray) -> np.ndarray:
+    """Float max_k N_k / I_k on the last axis; -inf where every I_k = 0.
+
+    One rounding of integers below 2^53, so it equals float(Q31Report.worst).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(influence_num > 0, q31_num / np.maximum(influence_num, 1), -np.inf)
+    return ratio.max(axis=-1)
+
+
+def q31_report(spectrum: Spectrum) -> Q31Report:
+    """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k."""
+    scale = 4**spectrum.n
+    numerators = q31_numerators(spectrum.coeffs)
+    influences = influence_numerators(spectrum.squared())
     per = []
-    for k in range(1, n + 1):
-        numerator = Fraction(int(np.einsum("ij,ij->", *_halves(magnitude, k - 1))), 4**n)
-        influence = profile.per_coord[k - 1]
-        ratio = numerator / influence if influence > 0 else None
-        per.append(Q31Coordinate(k, numerator, influence, ratio))
+    for k, (num, inf) in enumerate(zip(numerators.tolist(), influences.tolist()), start=1):
+        ratio = Fraction(num, inf) if inf > 0 else None
+        per.append(Q31Coordinate(k, Fraction(num, scale), Fraction(inf, scale), ratio))
     defined = [c.ratio for c in per if c.ratio is not None]
     return Q31Report(
-        n=n,
+        n=spectrum.n,
         per_coord=tuple(per),
         best=min(defined) if defined else None,
         worst=max(defined) if defined else None,
@@ -274,7 +292,7 @@ def log_ratio_functional(f: BooleanFunction, v1, k: int) -> LogRatioReport:
     scale = 2.0 ** (f.n - m)
     value = float((small[pos] * np.log(large[pos] / small[pos])).sum()) / scale
     majorant = float(np.sqrt(small * large).sum()) / scale
-    influence = influences_spectral(wht(f)).per_coord[k - 1]
+    influence = influences_combinatorial(f).per_coord[k - 1]
     ik = float(influence)
     cap = 0.0 if ik == 0.0 else ik * (1.0 - math.log(ik))
     return LogRatioReport(value=value, majorant=majorant, influence=influence, cap=cap)

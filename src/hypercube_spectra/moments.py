@@ -28,8 +28,6 @@ from .spectrum import _halves, influences_combinatorial, partial_hadamard_inplac
 
 LN2 = math.log(2.0)
 
-CHAIN_SIZE_LIMIT = 16
-
 DEFAULT_EPS_GRID = tuple(k * 0.01 for k in range(1, 50))
 
 
@@ -147,26 +145,15 @@ class ChainReport:
         }
 
 
-def chain(
-    f: BooleanFunction,
-    eps: float,
-    order: Sequence[int] | None = None,
-    allow_large: bool = False,
-) -> ChainReport:
+def chain(f: BooleanFunction, eps: float, order: Sequence[int] | None = None) -> ChainReport:
     """Grow V one coordinate at a time and track each moment drop.
 
     Each step reuses the previous table and applies a single butterfly
-    pass, so the whole chain costs one full transform.  Chains on n > 16
-    are refused unless allow_large is set: the report alone holds n
-    tables' worth of floats.
+    pass, so the whole chain costs one full transform.
     """
     _check_eps(eps)
     if eps == 0.0:
         raise ValueError("the chain needs eps > 0; every moment is 1 at eps = 0")
-    if f.n > CHAIN_SIZE_LIMIT and not allow_large:
-        raise ValueError(
-            f"chain on n={f.n} > {CHAIN_SIZE_LIMIT} is refused without allow_large"
-        )
     seq = list(order) if order is not None else list(range(1, f.n + 1))
     if sorted(seq) != list(range(1, f.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{f.n}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -24,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import MAX_N, BooleanFunction
-from .entropy import AnalysisReport, analyze
-from .spectrum import _halves, hadamard_inplace
-
-LN2 = math.log(2.0)
-LN4 = math.log(4.0)
+from .entropy import AnalysisReport, analyze, influence_floats, spectral_entropies
+from .inequality import q31_numerators, q31_worst
+from .spectrum import hadamard_inplace, influence_numerators
 
 METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen_slack")
 
@@ -136,44 +133,25 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     is float.  Rows for constant functions carry zeros in the ratio
     columns and False in 'nonconstant'.
     """
-    batch, size = bits.shape
-    n = size.bit_length() - 1
+    n = bits.shape[-1].bit_length() - 1
     coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
     squared = coeffs * coeffs
-    magnitude = np.abs(coeffs, out=coeffs)  # the signs are not needed again
-    scale = 4.0**n
-
-    inf_num = np.empty((batch, n), dtype=np.int64)
-    q31_num = np.empty((batch, n), dtype=np.int64)  # exact: see inequality.q31_report
-    for k in range(n):
-        inf_num[:, k] = np.einsum("bij->b", _halves(squared, k)[1])
-        q31_num[:, k] = np.einsum("bij,bij->b", *_halves(magnitude, k))
-
-    sq = squared.astype(np.float64)
-    ent = 2.0 * n - (sq * np.log2(np.maximum(sq, 1.0))).sum(axis=1) / scale
-    minent = 2.0 * n - np.log2(squared.max(axis=1))
-
-    inf = inf_num / scale
-    total = inf_num.sum(axis=1) / scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_inf = np.where(inf > 0.0, np.log(np.maximum(inf, 1e-300)), 0.0)
-        terms = np.where(inf > 0.0, inf * (LN4 - log_inf), 0.0)
-        bound = (3.0 * total + terms.sum(axis=1)) / LN2
-        bound_drop = (3.0 * total + (terms.sum(axis=1) - terms.max(axis=1))) / LN2
-        term_sum = np.where(inf > 0.0, -inf * log_inf, 0.0).sum(axis=1) / LN2
-        cap = np.where(total > 0.0, total * np.log2(np.where(total > 0.0, n / total, 1.0)), 0.0)
-        ratio = np.where(inf_num > 0, q31_num / np.maximum(inf_num, 1), -np.inf)
+    inf_num = influence_numerators(squared)
+    worst = q31_worst(q31_numerators(coeffs), inf_num)
+    del coeffs  # frees the coefficients before the float copies
+    entropy, min_entropy = spectral_entropies(squared)
+    floats = influence_floats(inf_num / 4.0**n)
     return {
         "n": n,
-        "nonconstant": inf_num.sum(axis=1) > 0,
-        "entropy": ent,
-        "min_entropy": minent,
-        "influence_total": total,
-        "bound": bound,
-        "bound_drop_one": bound_drop,
-        "term_sum": term_sum,
-        "jensen_cap": cap,
-        "q31_worst": ratio.max(axis=1),
+        "nonconstant": floats["total"] > 0.0,
+        "entropy": entropy,
+        "min_entropy": min_entropy,
+        "influence_total": floats["total"],
+        "bound": floats["bound"],
+        "bound_drop_one": floats["bound_drop_one"],
+        "term_sum": floats["term_sum"],
+        "jensen_cap": floats["jensen_cap"],
+        "q31_worst": worst,
         "parseval": squared.sum(axis=1),
         "influence_num": inf_num,
     }
@@ -181,17 +159,16 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
 
 def metric_columns(stats: dict) -> dict[str, np.ndarray]:
     """Assemble the five search metrics from batch_stats output."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = stats["influence_total"]
-        safe = np.where(total > 0.0, total, 1.0)
-        bound = np.where(stats["bound"] > 0.0, stats["bound"], 1.0)
-        return {
-            "ent_over_I": stats["entropy"] / safe,
-            "ent_over_bound": stats["entropy"] / bound,
-            "minent_over_I": stats["min_entropy"] / safe,
-            "q31_worst": stats["q31_worst"],
-            "jensen_slack": stats["jensen_cap"] - stats["term_sum"],
-        }
+    total = stats["influence_total"]
+    safe = np.where(total > 0.0, total, 1.0)  # constant rows: no division by zero
+    bound = np.where(stats["bound"] > 0.0, stats["bound"], 1.0)
+    return {
+        "ent_over_I": stats["entropy"] / safe,
+        "ent_over_bound": stats["entropy"] / bound,
+        "minent_over_I": stats["min_entropy"] / safe,
+        "q31_worst": stats["q31_worst"],
+        "jensen_slack": stats["jensen_cap"] - stats["term_sum"],
+    }
 
 
 def metric_value(metric: str, f: BooleanFunction) -> float:
@@ -231,14 +208,19 @@ def _sample_bits(n: int, seed: int, start: int, stop: int) -> tuple[list[int], n
     return packed, bits
 
 
-def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]]:
+def chunk_stats(job: SearchJob, chunk_index: int) -> tuple[list[int], dict[str, np.ndarray]]:
+    """Table integers and batch_stats of one chunk of a job's index space."""
     start = chunk_index * job.chunk_size
     stop = min(start + job.chunk_size, job.total_indices)
     if job.mode == "exhaustive":
         tables, bits = _exhaustive_bits(job.n, start, stop)
     else:
         tables, bits = _sample_bits(job.n, job.seed, start, stop)
-    stats = batch_stats(bits)
+    return tables, batch_stats(bits)
+
+
+def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]]:
+    tables, stats = chunk_stats(job, chunk_index)
     keep = stats["nonconstant"]
     if not keep.any():
         return {}

@@ -82,10 +82,6 @@ class InfluenceProfile:
     per_coord: tuple[Fraction, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.per_coord)
-
-    @property
     def total(self) -> Fraction:
         return sum(self.per_coord, Fraction(0))
 
@@ -100,14 +96,25 @@ def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:
     return InfluenceProfile(tuple(out))
 
 
+def influence_numerators(squared: np.ndarray) -> np.ndarray:
+    """4^n I_k = sum over S containing k of c_S^2, shape (..., n).
+
+    `squared` holds the squared integer coefficients along its last axis;
+    any leading axes are a batch.  Exact in int64: the sum is at most 4^n.
+    """
+    n = squared.shape[-1].bit_length() - 1
+    out = np.empty((*squared.shape[:-1], n), dtype=np.int64)
+    for k in range(n):
+        out[..., k] = np.einsum("...ij->...", _halves(squared, k)[1])
+    return out
+
+
 def influences_spectral(spectrum: Spectrum) -> InfluenceProfile:
     """I_k = sum over S containing k of fhat(S)^2, from integer coefficients."""
-    squared = spectrum.squared()
-    out = []
-    for k in range(spectrum.n):
-        _, hi = _halves(squared, k)
-        out.append(Fraction(int(hi.sum()), 4**spectrum.n))
-    return InfluenceProfile(tuple(out))
+    scale = 4**spectrum.n
+    return InfluenceProfile(
+        tuple(Fraction(int(v), scale) for v in influence_numerators(spectrum.squared()))
+    )
 
 
 def weighted_degree_sum(spectrum: Spectrum) -> int:

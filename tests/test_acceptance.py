@@ -20,7 +20,7 @@ from hypercube_spectra.boolfn import (
     parity,
 )
 from hypercube_spectra.boolfn import FamilySpec
-from hypercube_spectra.entropy import fourier_entropy, term_sum_bits
+from hypercube_spectra.entropy import analyze
 from hypercube_spectra.inequality import (
     ScalarGridSpec,
     lemma24_gap,
@@ -36,9 +36,7 @@ from hypercube_spectra.moments import (
 )
 from hypercube_spectra.search import (
     SearchJob,
-    _exhaustive_bits,
-    _sample_bits,
-    batch_stats,
+    chunk_stats,
     metric_value,
     run,
     resume,
@@ -66,16 +64,17 @@ def exhaustive_stats():
     """batch_stats for every function at n = 1..4 (constants included)."""
     out = {}
     for n in range(1, 5):
-        _tables, bits = _exhaustive_bits(n, 0, 1 << (1 << n))
-        out[n] = batch_stats(bits)
+        job = SearchJob(n=n, mode="exhaustive", chunk_size=1 << (1 << n))
+        _tables, out[n] = chunk_stats(job, 0)
     return out
 
 
 @pytest.fixture(scope="session")
 def sampled_stats():
     """batch_stats for 10^4 seeded random functions at n = 8."""
-    _tables, bits = _sample_bits(8, 7, 0, 10_000)
-    return batch_stats(bits)
+    job = SearchJob(n=8, mode="sample", count=10_000, seed=7, chunk_size=10_000)
+    _tables, stats = chunk_stats(job, 0)
+    return stats
 
 
 def test_ac1_entropy_bounded(capfd, exhaustive_stats, sampled_stats):
@@ -220,7 +219,7 @@ def test_ac7_first_even_group_limits(capfd):
     total_rel = abs(total - 4.0 * s / 3.0) / (4.0 * s / 3.0)
     total_ok = total_rel <= 0.02
 
-    term = term_sum_bits(profile)
+    term = analyze(f).term_sum_bits
     target = 4.0 / 3.0 * math.log2(3.0) * s
     term_rel = abs(term - target) / target
     term_ok = term_rel <= 0.05
@@ -240,16 +239,17 @@ def test_ac8_parity_minblock_exact(capfd):
     checks = []
     for f, s in ((parity(3), 3), (parity(2, 5), 2)):
         profile = influences_spectral(wht(f))
-        checks.append(fourier_entropy(wht(f)) == 0.0)
+        analysis = analyze(f)
+        checks.append(analysis.entropy_bits == 0.0)
         checks.append(profile.total == Fraction(s))
-        checks.append(term_sum_bits(profile) == 0.0)
+        checks.append(analysis.term_sum_bits == 0.0)
     worst_dev = 0.0
     for s, t in ((3, 2), (2, 3)):
         f = minblock(s, t)
         profile = influences_spectral(wht(f))
         checks.append(all(ik == Fraction(1, 1 << (s - 1)) for ik in profile.per_coord))
         total = float(profile.total)
-        dev = abs(term_sum_bits(profile) - total * math.log2(f.n / total))
+        dev = abs(analyze(f).term_sum_bits - total * math.log2(f.n / total))
         worst_dev = max(worst_dev, dev)
         checks.append(dev <= 1e-9)
     report(
@@ -271,14 +271,14 @@ def test_ac9_and_ratio_and_search(capfd):
     second = run(job, workers=1)
     rec = first[0]
     witness = BooleanFunction.from_hex(3, rec.witness_hex)
-    roundtrip = abs(metric_value("q31_worst", witness) - rec.value) <= 1e-9
+    roundtrip = metric_value("q31_worst", witness) == rec.value
     ok = exact and first == second and roundtrip and rec.value >= 1.5
     report(
         capfd,
         "AC-9 And ratio 2 - 2^(2-n) exact for n=2..10; exhaustive n=3 q31 search",
         ok,
         f"9 exact ratios; n=3 worst ratio {rec.value:.6f} witness {rec.witness_hex!r} "
-        "reproducible and round-trips within 1e-9",
+        "reproducible and round-trips exactly",
     )
 
 

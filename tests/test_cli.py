@@ -169,6 +169,16 @@ def test_verify_theorem_sampled(capsys):
     assert payload["violations"] == 0
 
 
+def test_verify_theorem_is_bounded(capsys):
+    # exhaustive n=5 would sweep 2^32 tables; the search job guards refuse it
+    code, out, _ = run_cli(capsys, "verify", "theorem", "--max-n", "5")
+    _assert_error_envelope(code, out, "exhaustive mode supports n <= 4")
+    code, out, _ = run_cli(
+        capsys, "verify", "theorem", "--random", "-3", "--n", "4", "--seed", "1"
+    )
+    _assert_error_envelope(code, out, "positive count")
+
+
 def test_search_cli_json_lines(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "exhaustive", "--workers", "1")
     assert code == 0
@@ -227,6 +237,23 @@ def _assert_error_envelope(code, out, needle):
     doc = json.loads(out)
     assert doc["status"] == "error"
     assert needle in doc["payload"]["message"]
+
+
+def test_search_cli_resume_refuses_job_flags(capsys, tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    code, straight, _ = run_cli(capsys, "search", "--n", "2", "--checkpoint", path, "--workers", "1")
+    assert code == 0
+    job_flags = [
+        ("--n", "2"), ("--mode", "exhaustive"), ("--count", "5"), ("--seed", "1"),
+        ("--metrics", "q31_worst"), ("--checkpoint-every", "1"), ("--chunk-size", "8"),
+        ("--max-tables", "16"),
+    ]
+    for flag, value in job_flags:
+        code, out, _ = run_cli(capsys, "search", "--resume", "--checkpoint", path, flag, value)
+        _assert_error_envelope(code, out, f"drop {flag}")
+    code, resumed, _ = run_cli(capsys, "search", "--resume", "--checkpoint", path, "--workers", "2")
+    assert code == 0
+    assert resumed == straight
 
 
 def test_search_cli_rejects_nonpositive_workers(capsys):

@@ -13,16 +13,10 @@ from hypercube_spectra import (
     concentration_count,
     dictator,
     first_even_group,
-    fourier_entropy,
-    influence_entropy_bound,
-    influence_entropy_bound_drop_one,
     influences_spectral,
-    jensen_cap_bits,
     majority,
-    min_entropy,
     minblock,
     parity,
-    term_sum_bits,
     wht,
 )
 
@@ -34,9 +28,9 @@ def spectrum_of(f):
 
 
 def test_entropy_examples():
-    assert fourier_entropy(wht(parity(4))) == 0.0
-    assert fourier_entropy(wht(dictator(5, 2))) == 0.0
-    assert fourier_entropy(wht(majority(3))) == pytest.approx(2.0, abs=1e-12)
+    assert analyze(parity(4)).entropy_bits == 0.0
+    assert analyze(dictator(5, 2)).entropy_bits == 0.0
+    assert analyze(majority(3)).entropy_bits == pytest.approx(2.0, abs=1e-12)
 
 
 def test_entropy_by_direct_summation():
@@ -48,25 +42,25 @@ def test_entropy_by_direct_summation():
         s = wht(f)
         weights = (s.coeffs.astype(float) / 2**n) ** 2
         expected = -sum(w * math.log2(w) for w in weights if w > 0)
-        assert fourier_entropy(s) == pytest.approx(expected, abs=1e-10)
+        assert analyze(f).entropy_bits == pytest.approx(expected, abs=1e-10)
 
 
 def test_first_even_group_small_is_dictator_like():
     # s=1, t=2 collapses to -x1, so its entropy vanishes
-    assert fourier_entropy(wht(first_even_group(1, 2))) == 0.0
+    assert analyze(first_even_group(1, 2)).entropy_bits == 0.0
 
 
 def test_min_entropy_examples():
-    assert min_entropy(wht(dictator(4))) == 0.0
-    assert min_entropy(wht(majority(3))) == pytest.approx(2.0)
-    assert min_entropy(wht(and_function(2))) == pytest.approx(2.0)
+    assert analyze(dictator(4)).min_entropy_bits == 0.0
+    assert analyze(majority(3)).min_entropy_bits == pytest.approx(2.0)
+    assert analyze(and_function(2)).min_entropy_bits == pytest.approx(2.0)
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=60)
 def test_min_entropy_below_entropy(n, seed):
-    s = wht(random_function(np.random.default_rng(seed), n))
-    assert min_entropy(s) <= fourier_entropy(s) + 1e-12
+    report = analyze(random_function(np.random.default_rng(seed), n))
+    assert report.min_entropy_bits <= report.entropy_bits + 1e-12
 
 
 def test_concentration_examples():
@@ -93,65 +87,57 @@ def test_concentration_tie_break_is_deterministic():
 
 
 def test_term_sum_examples():
-    assert term_sum_bits(influences_spectral(wht(parity(4)))) == 0.0
-    prof = influences_spectral(wht(minblock(2, 2)))
+    assert analyze(parity(4)).term_sum_bits == 0.0
     # four coordinates at influence 1/2
-    assert term_sum_bits(prof) == pytest.approx(2.0, abs=1e-12)
+    assert analyze(minblock(2, 2)).term_sum_bits == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bound_closed_forms():
     # dictator: I = I_1 = 1, bound = (3 + ln 4)/ln 2
-    prof = influences_spectral(wht(dictator(6)))
-    assert influence_entropy_bound(prof) == pytest.approx((3 + math.log(4)) / LN2, rel=1e-12)
+    bound = analyze(dictator(6)).bound_bits
+    assert bound == pytest.approx((3 + math.log(4)) / LN2, rel=1e-12)
     # parity of s over n: s coordinates of influence 1
-    prof = influences_spectral(wht(parity(2, 4)))
-    assert influence_entropy_bound(prof) == pytest.approx(2 * (3 + math.log(4)) / LN2, rel=1e-12)
+    bound = analyze(parity(2, 4)).bound_bits
+    assert bound == pytest.approx(2 * (3 + math.log(4)) / LN2, rel=1e-12)
     # majority of 3: I_k = 1/2
-    prof = influences_spectral(wht(majority(3)))
     expected = (3 * 1.5 + 1.5 * math.log(8)) / LN2
-    assert influence_entropy_bound(prof) == pytest.approx(expected, rel=1e-12)
+    assert analyze(majority(3)).bound_bits == pytest.approx(expected, rel=1e-12)
 
 
 def test_drop_one_bound_closed_forms():
     # dictator keeps the 3I part only
-    prof = influences_spectral(wht(dictator(3)))
-    assert influence_entropy_bound_drop_one(prof) == pytest.approx(3 / LN2, rel=1e-12)
+    assert analyze(dictator(3)).bound_drop_one_bits == pytest.approx(3 / LN2, rel=1e-12)
     # parity of 2: one of two identical terms survives
-    prof = influences_spectral(wht(parity(2)))
     expected = (3 * 2 + math.log(4)) / LN2
-    assert influence_entropy_bound_drop_one(prof) == pytest.approx(expected, rel=1e-12)
+    assert analyze(parity(2)).bound_drop_one_bits == pytest.approx(expected, rel=1e-12)
 
 
 def test_jensen_cap_examples():
-    assert jensen_cap_bits(influences_spectral(wht(parity(3)))) == pytest.approx(0.0, abs=1e-12)
-    prof = influences_spectral(wht(minblock(2, 2)))
+    assert analyze(parity(3)).jensen_cap_bits == pytest.approx(0.0, abs=1e-12)
+    report = analyze(minblock(2, 2))
     # equality case: all influences equal
-    assert jensen_cap_bits(prof) == pytest.approx(term_sum_bits(prof), abs=1e-12)
-    prof = influences_spectral(wht(majority(3)))
-    assert jensen_cap_bits(prof) == pytest.approx(1.5 * math.log2(2.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        jensen_cap_bits(influences_spectral(wht(BooleanFunction(3, 0))))
+    assert report.jensen_cap_bits == pytest.approx(report.term_sum_bits, abs=1e-12)
+    assert analyze(majority(3)).jensen_cap_bits == pytest.approx(1.5 * math.log2(2.0), abs=1e-12)
+    # undefined for constant functions (I = 0)
+    assert analyze(BooleanFunction(3, 0)).jensen_cap_bits is None
 
 
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=60)
 def test_jensen_cap_dominates_term_sum(n, seed):
-    f = random_function(np.random.default_rng(seed), n)
-    prof = influences_spectral(wht(f))
-    if prof.total == 0:
+    report = analyze(random_function(np.random.default_rng(seed), n))
+    if report.influence_total == 0:
         return
-    assert term_sum_bits(prof) <= jensen_cap_bits(prof) + 1e-12
+    assert report.term_sum_bits <= report.jensen_cap_bits + 1e-12
 
 
 def test_bounds_dominate_entropy_exhaustively_n_le_3():
     for n in (1, 2, 3):
         for table in range(1 << (1 << n)):
-            f = BooleanFunction(n, table)
-            s = wht(f)
-            prof = influences_spectral(s)
-            ent = fourier_entropy(s)
-            assert ent <= influence_entropy_bound(prof) + 1e-9
-            assert ent <= influence_entropy_bound_drop_one(prof) + 1e-9
+            report = analyze(BooleanFunction(n, table))
+            ent = report.entropy_bits
+            assert ent <= report.bound_bits + 1e-9
+            assert ent <= report.bound_drop_one_bits + 1e-9
 
 
 def test_invariance_under_relabelling_and_negation():
@@ -161,8 +147,9 @@ def test_invariance_under_relabelling_and_negation():
         f = random_function(rng, n)
         perm = rng.permutation(n) + 1
         g = f.permute(perm.tolist()).negate()
-        assert fourier_entropy(wht(g)) == pytest.approx(fourier_entropy(wht(f)), abs=1e-12)
-        assert min_entropy(wht(g)) == pytest.approx(min_entropy(wht(f)), abs=1e-12)
+        report_f, report_g = analyze(f), analyze(g)
+        assert report_g.entropy_bits == pytest.approx(report_f.entropy_bits, abs=1e-12)
+        assert report_g.min_entropy_bits == pytest.approx(report_f.min_entropy_bits, abs=1e-12)
         assert sorted(influences_spectral(wht(g)).per_coord) == sorted(
             influences_spectral(wht(f)).per_coord
         )

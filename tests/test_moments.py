@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import brute_moment, random_function
 from hypercube_spectra import (
     BooleanFunction,
+    analyze,
     chain,
     dictator,
     entropy_from_moment_derivative,
-    fourier_entropy,
     influences_combinatorial,
     lemma22_check,
     majority,
@@ -20,7 +20,6 @@ from hypercube_spectra import (
     moment_curve,
     parity,
     step_floor,
-    wht,
 )
 
 
@@ -185,10 +184,8 @@ def test_chain_floor_holds_on_random_orders():
 
 
 def test_chain_size_guard():
-    f = parity(17)
-    with pytest.raises(ValueError):
-        chain(f, 0.25)
-    report = chain(f, 0.25, allow_large=True)
+    f = parity(17)  # no size limit: the report holds n scalars
+    report = chain(f, 0.25)
     assert report.final == pytest.approx(1.0, abs=1e-12)
 
 
@@ -211,7 +208,7 @@ def test_derivative_matches_entropy_random():
     for _ in range(25):
         n = int(rng.integers(1, 7))
         f = random_function(rng, n)
-        ent = fourier_entropy(wht(f))
+        ent = analyze(f).entropy_bits
         approx = entropy_from_moment_derivative(f)
         assert approx == pytest.approx(ent, abs=max(1e-6, 1e-6 * ent))
 

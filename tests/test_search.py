@@ -5,9 +5,12 @@ import pytest
 from hypercube_spectra import (
     BooleanFunction,
     SearchJob,
+    analyze,
     metric_value,
+    q31_report,
     resume_search,
     run_search,
+    wht,
 )
 from hypercube_spectra.search import METRICS
 
@@ -40,12 +43,34 @@ def test_exhaustive_n2_known_extremals():
     assert by_metric["ent_over_I"].witness_hex == "1"
 
 
+def _metric_from_reports(metric, f):
+    """A search metric rebuilt from the single-function reports."""
+    if metric == "q31_worst":
+        return float(q31_report(wht(f)).worst)
+    report = analyze(f)
+    total = float(report.influence_total)
+    return {
+        "ent_over_I": report.entropy_bits / total,
+        "ent_over_bound": report.entropy_bits / report.bound_bits,
+        "minent_over_I": report.min_entropy_bits / total,
+        "jensen_slack": report.jensen_cap_bits - report.term_sum_bits,
+    }[metric]
+
+
 def test_records_roundtrip_through_reanalysis():
-    records = run_search(SearchJob(n=3, mode="exhaustive", max_tables=1 << 8))
-    for record in records:
-        f = BooleanFunction.from_hex(record.n, record.witness_hex)
-        assert metric_value(record.metric, f) == pytest.approx(record.value, abs=1e-9)
-        assert record.context.n == record.n
+    # batch and single-function paths share one kernel, so the values
+    # come back bit for bit
+    jobs = [
+        SearchJob(n=3, mode="exhaustive", max_tables=1 << 8),
+        SearchJob(n=4, mode="exhaustive"),
+        SearchJob(n=8, mode="sample", count=2000, seed=5, chunk_size=512),
+    ]
+    for job in jobs:
+        for record in run_search(job):
+            f = BooleanFunction.from_hex(record.n, record.witness_hex)
+            assert metric_value(record.metric, f) == record.value
+            assert _metric_from_reports(record.metric, f) == record.value
+            assert record.context.n == record.n
 
 
 def test_sampled_runs_are_seed_deterministic():

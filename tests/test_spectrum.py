@@ -117,7 +117,7 @@ def test_weighted_degree_sum_identity():
 
 
 def test_batch_stats_matches_single_function_paths():
-    from hypercube_spectra import fourier_entropy, min_entropy, q31_report
+    from hypercube_spectra import analyze, q31_report
 
     rng = np.random.default_rng(8)
     fns = [random_function(rng, 5) for _ in range(40)]
@@ -125,8 +125,14 @@ def test_batch_stats_matches_single_function_paths():
     stats = batch_stats(bits)
     for i, f in enumerate(fns):
         s = wht(f)
-        assert stats["entropy"][i] == pytest.approx(fourier_entropy(s), abs=1e-12)
-        assert stats["min_entropy"][i] == pytest.approx(min_entropy(s), abs=1e-12)
+        report = analyze(f)
+        # one kernel serves both: a batch row equals the single-function report
+        assert stats["entropy"][i] == report.entropy_bits
+        assert stats["min_entropy"][i] == report.min_entropy_bits
+        assert stats["term_sum"][i] == report.term_sum_bits
+        assert stats["bound"][i] == report.bound_bits
+        assert stats["bound_drop_one"][i] == report.bound_drop_one_bits
+        assert stats["jensen_cap"][i] == report.jensen_cap_bits
         assert stats["influence_total"][i] == float(influences_combinatorial(f).total)
         assert stats["influence_num"][i].tolist() == [
             ik * 4**5 for ik in influences_combinatorial(f).per_coord
@@ -134,3 +140,18 @@ def test_batch_stats_matches_single_function_paths():
         # both sides are correctly rounded quotients of the same integers
         assert stats["q31_worst"][i] == float(q31_report(s).worst)
         assert int(stats["parseval"][i]) == 4**5
+
+
+def test_batch_stats_invariant_under_relabelling():
+    # influences are sorted before any float sum, so relabelling the
+    # coordinates cannot move a single bit of these columns
+    columns = ("influence_total", "term_sum", "bound", "bound_drop_one",
+               "jensen_cap", "min_entropy", "q31_worst")
+    rng = np.random.default_rng(12)
+    for n in (3, 5, 8, 10):
+        fns = [random_function(rng, n) for _ in range(30)]
+        perms = [(rng.permutation(n) + 1).tolist() for _ in fns]
+        stats = batch_stats(np.stack([f.bits() for f in fns]))
+        moved = batch_stats(np.stack([f.permute(p).bits() for f, p in zip(fns, perms)]))
+        for column in columns:
+            assert stats[column].tolist() == moved[column].tolist(), column
