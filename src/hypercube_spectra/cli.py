@@ -297,6 +297,8 @@ def _verify_theorem(args):
         jobs = [SearchJob(n=args.n, mode="sample", count=args.random, seed=args.seed)]
         mode = {"mode": "sample", "n": args.n, "count": args.random, "seed": args.seed}
     else:
+        if args.max_n < 1:
+            raise ValueError(f"--max-n must be positive, got {args.max_n}")
         jobs = [SearchJob(n=n, mode="exhaustive") for n in range(1, args.max_n + 1)]
         mode = {"mode": "exhaustive", "max_n": args.max_n}
     checked = 0
@@ -413,17 +415,18 @@ def _cmd_family(args):
 
 
 def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise ValueError(f"--workers must be positive, got {value}")
-        return value
-    env = os.environ.get("HYPERCUBE_SPECTRA_WORKERS")
-    if env:
+    name, env = "--workers", os.environ.get("HYPERCUBE_SPECTRA_WORKERS")
+    if value is None:
+        if not env:
+            return os.cpu_count() or 1
+        name = "HYPERCUBE_SPECTRA_WORKERS"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            raise ValueError(f"HYPERCUBE_SPECTRA_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+            raise ValueError(f"{name} must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _cmd_search(args):
@@ -509,7 +512,6 @@ def main(argv=None) -> int:
     p.add_argument("--resume", action="store_true", help="continue --checkpoint; no job flags")
     p.add_argument("--checkpoint-every", type=int, **job)
     p.add_argument("--chunk-size", type=int, **job)
-    p.add_argument("--max-tables", type=int, **job)
     p.add_argument("--workers", type=int)
 
     p = sub.add_parser("family", help="named family instance report")

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import Spectrum, influence_numerators, wht
+from .spectrum import influence_numerators, wht
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -40,8 +40,10 @@ def spectral_entropies(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return entropy, 2.0 * n - np.log2(squared.max(axis=-1))
 
 
-def concentration_count(spectrum: Spectrum, deltas: Sequence[float]) -> tuple[int, ...]:
+def concentration_count(squared: np.ndarray, deltas: Sequence[float]) -> tuple[int, ...]:
     """Smallest number of characters whose weight reaches 1 - delta, per delta.
+
+    squared holds the 2^n squared integer coefficients c_S^2 = 4^n fhat(S)^2.
 
     The count depends only on the weights in decreasing order (which of
     several equal weights comes first cannot change a cumulative sum), so
@@ -50,10 +52,10 @@ def concentration_count(spectrum: Spectrum, deltas: Sequence[float]) -> tuple[in
     for delta in deltas:
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    cumulative = np.cumsum(np.sort(spectrum.squared())[::-1])
+    cumulative = np.cumsum(np.sort(squared)[::-1])
     thresholds = [Fraction(1) - Fraction(d) for d in deltas]  # exact binary value of delta
-    # cum/4^n >= t, for integer cum, means cum >= ceil(t 4^n):
-    need = [-(-t.numerator * 4**spectrum.n // t.denominator) for t in thresholds]
+    # cum/4^n >= t, for integer cum, means cum >= ceil(t 4^n), with 4^n = len(squared)^2:
+    need = [-(-t.numerator * len(squared) ** 2 // t.denominator) for t in thresholds]
     return tuple(int(i) + 1 for i in np.searchsorted(cumulative, need, side="left"))
 
 
@@ -119,10 +121,8 @@ class AnalysisReport:
 
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
     """One-stop spectral report: entropies, influences, bounds, concentration."""
-    spectrum = wht(f)
-    concentration = concentration_count(spectrum, deltas)
-    squared = spectrum.squared()
-    del spectrum  # only squares are needed from here; frees the coefficients
+    squared = wht(f).squared()
+    concentration = concentration_count(squared, deltas)
     numerators = influence_numerators(squared)
     entropy, min_entropy = spectral_entropies(squared)
     scale = 4**f.n

@@ -18,7 +18,9 @@ import json
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -32,8 +34,7 @@ METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen
 # jensen_slack records the tightest cap, everything else the largest ratio.
 _MINIMIZED = frozenset({"jensen_slack"})
 
-DEFAULT_BUDGET = 1 << 16
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class SearchJob:
     metrics: tuple[str, ...] = METRICS
     checkpoint_every: int | None = None
     chunk_size: int = 4096
-    max_tables: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_N:
@@ -68,11 +68,6 @@ class SearchJob:
         if self.mode == "exhaustive":
             if self.n > 4:
                 raise ValueError(f"exhaustive mode supports n <= 4, got n={self.n}")
-            if (1 << (1 << self.n)) > self.max_tables:
-                raise ValueError(
-                    f"exhaustive n={self.n} needs {1 << (1 << self.n)} tables, "
-                    f"over the budget of {self.max_tables}"
-                )
             if self.count is not None or self.seed is not None:
                 raise ValueError("exhaustive mode takes neither count nor seed")
         else:
@@ -98,7 +93,6 @@ class SearchJob:
             "metrics": list(self.metrics),
             "checkpoint_every": self.checkpoint_every,
             "chunk_size": self.chunk_size,
-            "max_tables": self.max_tables,
         }
 
     def job_hash(self) -> str:
@@ -189,23 +183,21 @@ def _exhaustive_bits(n: int, start: int, stop: int) -> tuple[list[int], np.ndarr
 
 
 def _sample_bits(n: int, seed: int, start: int, stop: int) -> tuple[list[int], np.ndarray]:
-    key = hashlib.sha256(str(seed).encode()).digest()[:32]
+    key = hashlib.sha256(str(seed).encode()).digest()
     size = 1 << n
     nbytes = max(1, size // 8)
     blocks = -(-nbytes // 64)
-    rows = []
-    for index in range(start, stop):
-        raw = b"".join(
+    raw = [
+        b"".join(
             hashlib.blake2b(struct.pack("<QI", index, blk), key=key).digest()
             for blk in range(blocks)
         )[:nbytes]
-        rows.append(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")[:size])
-    bits = np.stack(rows)
-    packed = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in bits
+        for index in range(start, stop)
     ]
-    return packed, bits
+    mask = (1 << size) - 1  # n < 3 keeps only the low 2^n bits of the byte
+    bits = np.frombuffer(b"".join(raw), np.uint8).reshape(len(raw), nbytes)
+    bits = np.unpackbits(bits, axis=1, bitorder="little")[:, :size]
+    return [int.from_bytes(row, "little") & mask for row in raw], bits
 
 
 def chunk_stats(job: SearchJob, chunk_index: int) -> tuple[list[int], dict[str, np.ndarray]]:
@@ -237,22 +229,10 @@ def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]
     return out
 
 
-def _pool_chunk(args) -> dict:
-    job_dict, chunk_index = args
-    job = SearchJob(**{**job_dict, "metrics": tuple(job_dict["metrics"])})
-    return _chunk_best(job, chunk_index)
-
-
-def _better(metric: str, cand: tuple[float, int], best: tuple[float, int] | None) -> bool:
-    if best is None:
-        return True
-    if metric in _MINIMIZED:
-        if cand[0] != best[0]:
-            return cand[0] < best[0]
-    else:
-        if cand[0] != best[0]:
-            return cand[0] > best[0]
-    return cand[1] < best[1]
+def _rank(metric: str, found: tuple[float, int]) -> tuple[float, int]:
+    """Sort key of a (value, table) candidate: the best one ranks lowest."""
+    value, table = found
+    return (value if metric in _MINIMIZED else -value, table)
 
 
 def _write_checkpoint(path: str, job: SearchJob, cursor: int, best: dict) -> None:
@@ -305,44 +285,26 @@ def _sweep(
     workers: int,
     max_chunks: int | None,
 ) -> list[ExtremalRecord] | None:
-    cursor = first_chunk
-    todo = job.total_chunks - cursor
+    """Run chunks from first_chunk on, checkpointing after each batch.
+
+    A batch is checkpoint_every chunks (all pending chunks if unset); a
+    sweep with no chunk left still writes its checkpoint once.
+    """
+    stop = job.total_chunks
     if max_chunks is not None:
-        todo = min(todo, max_chunks)
-    pending = list(range(cursor, cursor + todo))
-    save_every = job.checkpoint_every or job.total_chunks
-
-    def merge(result: dict) -> None:
-        for metric, cand in result.items():
-            if _better(metric, cand, best.get(metric)):
-                best[metric] = cand
-
-    if workers > 1 and len(pending) > 1:
-        job_dict = job.as_dict()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batch_start = 0
-            while batch_start < len(pending):
-                batch = pending[batch_start : batch_start + save_every]
-                for result in pool.map(_pool_chunk, [(job_dict, c) for c in batch]):
-                    merge(result)
-                cursor = batch[-1] + 1
-                if checkpoint_path:
-                    _write_checkpoint(checkpoint_path, job, cursor, best)
-                batch_start += len(batch)
-    else:
-        for done, chunk in enumerate(pending, start=1):
-            merge(_chunk_best(job, chunk))
-            cursor = chunk + 1
-            if checkpoint_path and (done % save_every == 0 or done == len(pending)):
-                _write_checkpoint(checkpoint_path, job, cursor, best)
-
-    if cursor < job.total_chunks:
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, job, cursor, best)
-        return None
-    if checkpoint_path:
-        _write_checkpoint(checkpoint_path, job, cursor, best)
-    return _finalize(job, best)
+        stop = max(first_chunk, min(stop, first_chunk + max_chunks))
+    every = job.checkpoint_every or job.total_chunks
+    pooled = workers > 1 and stop - first_chunk > 1
+    with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
+        for start in range(first_chunk, stop, every) or (first_chunk,):
+            batch = range(start, min(start + every, stop))
+            for result in (pool.map if pooled else map)(_chunk_best, repeat(job), batch):
+                for metric, cand in result.items():
+                    if best[metric] is None or _rank(metric, cand) < _rank(metric, best[metric]):
+                        best[metric] = cand
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, job, batch.stop, best)
+    return None if stop < job.total_chunks else _finalize(job, best)
 
 
 def run(
@@ -363,8 +325,8 @@ def resume(
 ) -> list[ExtremalRecord] | None:
     """Continue a checkpointed job; requires a matching job hash.
 
-    A checkpoint that is missing, unreadable, not JSON, of another format or
-    lacking a field raises ValueError.
+    A checkpoint that is missing, unreadable, not JSON, of another format,
+    lacking a field or holding a field of the wrong shape raises ValueError.
     """
     try:
         with open(checkpoint_path) as fh:
@@ -377,16 +339,22 @@ def resume(
     missing = [k for k in ("job", "job_hash", "next_chunk", "best", "complete") if k not in doc]
     if missing:
         raise ValueError(f"checkpoint {checkpoint_path!r} lacks {', '.join(missing)}")
-    stored = doc["job"]
-    job = SearchJob(**{**stored, "metrics": tuple(stored["metrics"])})
-    if job.job_hash() != doc["job_hash"]:
-        raise ValueError("checkpoint job hash does not match its job description")
-    best = {}
-    for metric in job.metrics:
-        entry = doc["best"].get(metric)
-        if entry is not None:
-            entry = (entry["value"], BooleanFunction.from_hex(job.n, entry["table_hex"]).table)
-        best[metric] = entry
+    try:
+        stored = doc["job"]
+        job = SearchJob(**{**stored, "metrics": tuple(stored["metrics"])})
+        if job.job_hash() != doc["job_hash"]:
+            raise ValueError("checkpoint job hash does not match its job description")
+        best = {}
+        for metric in job.metrics:
+            entry = doc["best"].get(metric)
+            if entry is not None:
+                entry = (entry["value"], BooleanFunction.from_hex(job.n, entry["table_hex"]).table)
+            best[metric] = entry
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"checkpoint {checkpoint_path!r} is malformed: {exc!r}") from None
+    cursor = doc["next_chunk"]
+    if type(cursor) is not int or not 0 <= cursor <= job.total_chunks:
+        raise ValueError(f"checkpoint next_chunk must be an integer in [0, {job.total_chunks}]")
     if doc["complete"]:
         return _finalize(job, best)
-    return _sweep(job, best, doc["next_chunk"], checkpoint_path, workers, max_chunks)
+    return _sweep(job, best, cursor, checkpoint_path, workers, max_chunks)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hypercube_spectra import cli
+from hypercube_spectra import SearchJob, cli, run_search
 from hypercube_spectra.inequality import SweepResult
 
 
@@ -177,6 +177,8 @@ def test_verify_theorem_is_bounded(capsys):
         capsys, "verify", "theorem", "--random", "-3", "--n", "4", "--seed", "1"
     )
     _assert_error_envelope(code, out, "positive count")
+    code, out, _ = run_cli(capsys, "verify", "theorem", "--max-n", "0")
+    _assert_error_envelope(code, out, "--max-n")
 
 
 def test_search_cli_json_lines(capsys):
@@ -246,7 +248,6 @@ def test_search_cli_resume_refuses_job_flags(capsys, tmp_path):
     job_flags = [
         ("--n", "2"), ("--mode", "exhaustive"), ("--count", "5"), ("--seed", "1"),
         ("--metrics", "q31_worst"), ("--checkpoint-every", "1"), ("--chunk-size", "8"),
-        ("--max-tables", "16"),
     ]
     for flag, value in job_flags:
         code, out, _ = run_cli(capsys, "search", "--resume", "--checkpoint", path, flag, value)
@@ -262,6 +263,13 @@ def test_search_cli_rejects_nonpositive_workers(capsys):
             capsys, "search", "--n", "2", "--mode", "exhaustive", "--workers", value
         )
         _assert_error_envelope(code, out, "--workers")
+
+
+def test_search_cli_rejects_nonpositive_worker_env(capsys, monkeypatch):
+    for value in ("0", "-2"):
+        monkeypatch.setenv("HYPERCUBE_SPECTRA_WORKERS", value)
+        code, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "exhaustive")
+        _assert_error_envelope(code, out, "HYPERCUBE_SPECTRA_WORKERS must be positive")
 
 
 def test_search_cli_resume_refuses_format_1_checkpoint(capsys, tmp_path):
@@ -280,13 +288,29 @@ def test_search_cli_resume_refuses_format_1_checkpoint(capsys, tmp_path):
     "content, needle",
     [
         (None, "cannot read checkpoint"),
-        ('{"format": 2, "job": {"n": 2', "Expecting"),  # truncated JSON
-        ('{"format": 2, "job": {}, "job_hash": "0"}', "lacks next_chunk, best, complete"),
+        ('{"format": 3, "job": {"n": 2', "Expecting"),  # truncated JSON
+        ('{"format": 3, "job": {}, "job_hash": "0"}', "lacks next_chunk, best, complete"),
+        # edits of a real checkpoint:
+        (lambda doc: doc["job"].update(extra=1), "is malformed"),
+        (lambda doc: doc["job"].pop("metrics"), "is malformed"),
+        (lambda doc: doc.update(next_chunk="2"), "next_chunk"),
+        (lambda doc: doc.update(best=[]), "is malformed"),
+        (lambda doc: doc.update(next_chunk=-3), "next_chunk"),
+        (lambda doc: doc.update(format=2), "unsupported checkpoint format 2"),
     ],
-    ids=["missing", "truncated", "incomplete"],
+    ids=[
+        "missing", "truncated", "incomplete", "extra-job-key", "no-metrics",
+        "string-cursor", "best-list", "negative-cursor", "format-2",
+    ],
 )
 def test_search_cli_resume_bad_checkpoint(capsys, tmp_path, content, needle):
     path = tmp_path / "ckpt.json"
+    if callable(content):  # spoil a real checkpoint stopped after one of two chunks
+        job = SearchJob(n=2, mode="exhaustive", chunk_size=8)
+        assert run_search(job, checkpoint_path=str(path), max_chunks=1) is None
+        doc = json.loads(path.read_text())
+        content(doc)
+        content = json.dumps(doc)
     if content is not None:
         path.write_text(content)
     code, out, _ = run_cli(capsys, "search", "--resume", "--checkpoint", str(path))

@@ -64,14 +64,14 @@ def test_min_entropy_below_entropy(n, seed):
 
 
 def test_concentration_examples():
-    assert concentration_count(wht(parity(3)), (0.5,)) == (1,)
-    assert concentration_count(wht(majority(3)), (0.3, 0.2)) == (3, 4)
+    assert concentration_count(wht(parity(3)).squared(), (0.5,)) == (1,)
+    assert concentration_count(wht(majority(3)).squared(), (0.3, 0.2)) == (3, 4)
     # all four weights equal (1/4): need ceil(3/4 / (1/4)) = 3 of them
-    assert concentration_count(wht(and_function(2)), (0.25,)) == (3,)
+    assert concentration_count(wht(and_function(2)).squared(), (0.25,)) == (3,)
 
 
 def test_concentration_monotone_and_validated():
-    s = wht(majority(5))
+    s = wht(majority(5)).squared()
     counts = concentration_count(s, (0.9, 0.5, 0.2, 0.05, 0.01))
     assert list(counts) == sorted(counts)
     with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ def test_concentration_monotone_and_validated():
 
 
 def test_concentration_tie_break_is_deterministic():
-    s = wht(and_function(2))  # weights 1/4, 1/4, 1/4, 1/4
+    s = wht(and_function(2)).squared()  # weights 1/4, 1/4, 1/4, 1/4
     # which of the equal weights come first cannot change the count
     assert concentration_count(s, (0.6,)) == (2,)
 

@@ -12,6 +12,7 @@ from hypercube_spectra import (
     run_search,
     wht,
 )
+from hypercube_spectra import search
 from hypercube_spectra.search import METRICS
 
 
@@ -26,8 +27,6 @@ def test_job_validation():
         SearchJob(n=3, mode="exhaustive", seed=1)
     with pytest.raises(ValueError):
         SearchJob(n=2, mode="exhaustive", metrics=("entropy",))
-    with pytest.raises(ValueError):
-        SearchJob(n=4, mode="exhaustive", max_tables=1 << 10)  # over budget
 
 
 def test_exhaustive_n2_known_extremals():
@@ -61,7 +60,7 @@ def test_records_roundtrip_through_reanalysis():
     # batch and single-function paths share one kernel, so the values
     # come back bit for bit
     jobs = [
-        SearchJob(n=3, mode="exhaustive", max_tables=1 << 8),
+        SearchJob(n=3, mode="exhaustive"),
         SearchJob(n=4, mode="exhaustive"),
         SearchJob(n=8, mode="sample", count=2000, seed=5, chunk_size=512),
     ]
@@ -103,6 +102,36 @@ def test_checkpoint_interrupt_resume_equals_straight_run(tmp_path):
     resumed = resume_search(path)
     straight = run_search(job)
     assert resumed == straight
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoint_written_once_per_batch(tmp_path, monkeypatch, workers):
+    writes = []
+    real_write = search._write_checkpoint
+
+    def counting_write(path, job, cursor, best):
+        writes.append(cursor)
+        real_write(path, job, cursor, best)
+
+    monkeypatch.setattr(search, "_write_checkpoint", counting_write)
+    path = str(tmp_path / f"ckpt-{workers}.json")
+    cases = [  # (checkpoint_every, max_chunks) -> cursors written, on 4 chunks
+        (1, None, [1, 2, 3, 4]),
+        (None, None, [4]),
+        (2, 3, [2, 3]),
+        (2, 0, [0]),  # no chunk runs, the state is still saved once
+    ]
+    for every, max_chunks, cursors in cases:
+        writes.clear()
+        job = SearchJob(n=2, mode="exhaustive", chunk_size=4, checkpoint_every=every)
+        run_search(job, checkpoint_path=path, workers=workers, max_chunks=max_chunks)
+        assert writes == cursors
+    # the interrupted (2, 3) state does not depend on the worker count
+    job = SearchJob(n=2, mode="exhaustive", chunk_size=4, checkpoint_every=2)
+    run_search(job, checkpoint_path=path, workers=workers, max_chunks=3)
+    other = str(tmp_path / "ckpt-serial.json")
+    run_search(job, checkpoint_path=other, workers=1, max_chunks=3)
+    assert open(path, "rb").read() == open(other, "rb").read()
 
 
 def test_resume_of_completed_job_returns_records(tmp_path):
