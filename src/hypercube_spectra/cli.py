@@ -204,22 +204,31 @@ def _cmd_q31(args):
 
 
 def _verify_scalar(kind: str, args):
+    if args.random is not None:
+        if args.random < 1:
+            raise ValueError(f"--random must be positive, got {args.random}")
+        if args.seed is None:
+            raise ValueError("--random needs --seed")
     grid = ScalarGridSpec(args.grid, args.grid, _parse_eps_values(args.eps))
     result = sweep_gap(kind, grid)
     payload = {"grid": result.as_dict(), "tolerance": 1e-12}
     violations = result.violations
-    if args.random:
-        if args.seed is None:
-            raise ValueError("--random needs --seed")
+    if args.random is not None:
         rand = sweep_gap_random(kind, args.random, args.seed)
         payload["random"] = rand.as_dict()
         violations += rand.violations
     return None, ("ok" if violations == 0 else "violation"), payload
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n < 1:
+        raise ValueError(f"--max-n must be positive, got {max_n}")
+
+
 def _verify_lemma22(args):
     if args.trials < 1:
         raise ValueError("--trials must be positive")
+    _check_max_n(args.max_n)
     rng = np.random.default_rng(args.seed)
     failures = 0
     first = None
@@ -254,6 +263,7 @@ def _verify_lemma22(args):
 def _verify_lemma31(args):
     if args.trials < 1:
         raise ValueError("--trials must be positive")
+    _check_max_n(args.max_n)
     eps_values = (
         _parse_eps_values(args.eps) if args.eps else (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
     )
@@ -292,15 +302,20 @@ def _verify_lemma31(args):
 
 def _verify_theorem(args):
     if args.random is not None:
+        if args.max_n is not None:
+            raise ValueError("--random samples at --n; drop --max-n")
         if args.n is None or args.seed is None:
             raise ValueError("--random needs --n and --seed")
         jobs = [SearchJob(n=args.n, mode="sample", count=args.random, seed=args.seed)]
         mode = {"mode": "sample", "n": args.n, "count": args.random, "seed": args.seed}
     else:
-        if args.max_n < 1:
-            raise ValueError(f"--max-n must be positive, got {args.max_n}")
-        jobs = [SearchJob(n=n, mode="exhaustive") for n in range(1, args.max_n + 1)]
-        mode = {"mode": "exhaustive", "max_n": args.max_n}
+        stray = [flag for flag, v in (("--n", args.n), ("--seed", args.seed)) if v is not None]
+        if stray:
+            raise ValueError(f"--n and --seed need --random; drop {' '.join(stray)}")
+        max_n = 4 if args.max_n is None else args.max_n
+        _check_max_n(max_n)
+        jobs = [SearchJob(n=n, mode="exhaustive") for n in range(1, max_n + 1)]
+        mode = {"mode": "exhaustive", "max_n": max_n}
     checked = 0
     violations = 0
     max_ratio = -math.inf
@@ -493,7 +508,7 @@ def main(argv=None) -> int:
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--eps", help="eps values: START:STOP:STEP or comma list")
     vp = vsub.add_parser("theorem")
-    vp.add_argument("--max-n", type=int, default=4)
+    vp.add_argument("--max-n", type=int, help="exhaustive mode: largest n (default 4)")
     vp.add_argument("--random", type=int, help="sampled mode: number of functions")
     vp.add_argument("--n", type=int, help="dimension for --random")
     vp.add_argument("--seed", type=int)

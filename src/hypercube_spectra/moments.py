@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _halves, influences_combinatorial, partial_hadamard_inplace
+from .spectrum import _halves, hadamard_inplace, influences_combinatorial, partial_hadamard_inplace
 
 LN2 = math.log(2.0)
 
@@ -191,7 +191,7 @@ def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float
     """
     if not 0.0 < h <= 1e-3:
         raise ValueError(f"step h must lie in (0, 1e-3], got {h}")
-    work = partial_hadamard_inplace(f.values(), range(f.n))
+    work = hadamard_inplace(f.values())
     m_h = _power_sum(work, f.n, f.n, h)
     m_half = _power_sum(work, f.n, f.n, h / 2.0)
     d_h = (m_h - 1.0) / h

@@ -25,13 +25,51 @@ def _halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     return v[..., 0, :], v[..., 1, :]
 
 
+def _sylvester(d: int) -> np.ndarray:
+    """The 2^d x 2^d Hadamard matrix H[s, t] = (-1)^|s & t|, as float64."""
+    i = np.arange(1 << d)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+
+
 def hadamard_inplace(values: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along the last axis, in place.
 
-    The last axis length must be a power of two.  Works batched: any
-    leading axes are carried along untouched.
+    The last axis length must be a power of two 2^n, and every entry must
+    satisfy |entry| * 2^n < 2^53 (the +-1 tables of the package give
+    2^n <= 2^24).  Works batched: any leading axes are carried along
+    untouched.  `values` is int64; the coefficients are written into it
+    and it is returned.
+
+    The n index bits are split into ceil(n/6) balanced stages of d <= 6
+    bits.  One stage is one matrix product H_d @ x^T per row: it
+    transforms the low d bits and rotates them to the top, so after every
+    bit has been through one stage the index order is back where it began.
     """
-    return partial_hadamard_inplace(values, range(values.shape[-1].bit_length() - 1))
+    # Exact in float64.  After j bits have been transformed, each entry is
+    # a signed sum of 2^j inputs, so |x| <= m 2^j with m the largest input.
+    # A stage over the next d bits forms sums of 2^d terms +-x; the products
+    # with +-1 are exact, and every partial sum, in whatever order,
+    # blocking, FMA use or thread count BLAS picks, is an integer of
+    # magnitude <= 2^d m 2^j <= m 2^n < 2^53, which float64 holds exactly.
+    # So each stage returns the same integers as the butterflies do, on
+    # every host, and the cast back to int64 is exact.
+    size = values.shape[-1]
+    n = size.bit_length() - 1
+    stages = -(-n // 6)
+    src = values.astype(np.float64, order="C").reshape(-1, size)
+    dst = np.empty_like(src)
+    rows = src.shape[0]
+    for s in range(stages):
+        d = n * (s + 1) // stages - n * s // stages
+        block = 1 << d
+        np.matmul(
+            _sylvester(d),
+            src.reshape(rows, -1, block).swapaxes(-1, -2),
+            out=dst.reshape(rows, block, -1),
+        )
+        src, dst = dst, src
+    values[...] = src.reshape(values.shape)
+    return values
 
 
 def partial_hadamard_inplace(values: np.ndarray, bit_positions) -> np.ndarray:

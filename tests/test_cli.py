@@ -181,6 +181,40 @@ def test_verify_theorem_is_bounded(capsys):
     _assert_error_envelope(code, out, "--max-n")
 
 
+def test_verify_theorem_refuses_other_mode_flags(capsys):
+    for argv, needle in (
+        (("--max-n", "2", "--n", "7", "--seed", "3"), "drop --n --seed"),
+        (("--n", "3"), "drop --n"),
+        (("--seed", "3"), "drop --seed"),
+        (("--random", "10", "--n", "3", "--seed", "1", "--max-n", "0"), "drop --max-n"),
+        (("--random", "10", "--n", "3", "--seed", "1", "--max-n", "4"), "drop --max-n"),
+    ):
+        code, out, _ = run_cli(capsys, "verify", "theorem", *argv)
+        _assert_error_envelope(code, out, needle)
+    # exhaustive mode still defaults to n <= 4 when --max-n is not given
+    code, out, _ = run_cli(capsys, "verify", "theorem")
+    assert code == 0
+    assert json.loads(out)["payload"]["max_n"] == 4
+
+
+def test_verify_scalar_random_must_be_positive(capsys):
+    for kind in ("lemma24", "eq27"):
+        for count in ("0", "-2"):
+            code, out, _ = run_cli(
+                capsys, "verify", kind, "--grid", "5", "--random", count, "--seed", "1"
+            )
+            _assert_error_envelope(code, out, "--random must be positive")
+        code, out, _ = run_cli(capsys, "verify", kind, "--grid", "5", "--random", "0")
+        _assert_error_envelope(code, out, "--random must be positive")
+
+
+def test_verify_lemma_max_n_must_be_positive(capsys):
+    for kind in ("lemma22", "lemma31"):
+        for max_n in ("0", "-1"):
+            code, out, _ = run_cli(capsys, "verify", kind, "--max-n", max_n)
+            _assert_error_envelope(code, out, "--max-n must be positive")
+
+
 def test_search_cli_json_lines(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "exhaustive", "--workers", "1")
     assert code == 0

@@ -43,9 +43,41 @@ def test_wht_and():
 
 def test_wht_matches_brute_force():
     rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 4, 6):
+    for n in range(1, 9):
         f = random_function(rng, n)
         assert wht(f).coeffs.tolist() == brute_spectrum(f)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batched_transform_matches_butterflies(n):
+    # n = 7..12 split into two stages, unequal for odd n
+    rng = np.random.default_rng(100 + n)
+    rows = 1 - 2 * rng.integers(0, 2, size=(5, 1 << n), dtype=np.int64)
+    expected = partial_hadamard_inplace(rows.copy(), range(n))
+    got = hadamard_inplace(rows.copy())
+    assert got.dtype == np.int64
+    assert (got == expected).all()
+
+
+def test_transform_is_exact_at_the_n24_ceiling():
+    # |c_S| reaches 2^24, the top of the float64 exactness argument
+    for f, top in ((BooleanFunction(24, 0), 0), (parity(24), (1 << 24) - 1)):
+        coeffs = wht(f).coeffs
+        assert coeffs.dtype == np.int64
+        assert abs(int(coeffs[top])) == 1 << 24
+        assert np.count_nonzero(coeffs) == 1
+    # the docstring's precondition near its edge: |entry| 2^n up to 2^52
+    rows = np.random.default_rng(24).integers(-(1 << 42), 1 << 42, size=(3, 1 << 10))
+    expected = partial_hadamard_inplace(rows.copy(), range(10))
+    assert (hadamard_inplace(rows) == expected).all()
+
+
+def test_transform_returns_its_input():
+    single = BooleanFunction(3, 0x96).values()
+    assert hadamard_inplace(single) is single
+    batch = np.ones((4, 1 << 7), dtype=np.int64)
+    assert hadamard_inplace(batch) is batch
+    assert (batch[:, 0] == 1 << 7).all() and not batch[:, 1:].any()
 
 
 def test_parseval_all_n3_tables():
