@@ -44,6 +44,7 @@ def hadamard_inplace(values: np.ndarray) -> np.ndarray:
     bits.  One stage is one matrix product H_d @ x^T per row: it
     transforms the low d bits and rotates them to the top, so after every
     bit has been through one stage the index order is back where it began.
+    A single stage (n <= 6) is x @ H_d over groups of rows.
     """
     # Exact in float64.  After j bits have been transformed, each entry is
     # a signed sum of 2^j inputs, so |x| <= m 2^j with m the largest input.
@@ -62,11 +63,23 @@ def hadamard_inplace(values: np.ndarray) -> np.ndarray:
     for s in range(stages):
         d = n * (s + 1) // stages - n * s // stages
         block = 1 << d
-        np.matmul(
-            _sylvester(d),
-            src.reshape(rows, -1, block).swapaxes(-1, -2),
-            out=dst.reshape(rows, block, -1),
-        )
+        if block == size:
+            # One stage spans the whole row and rotates nothing.  H_d is
+            # symmetric, so a group of rows is the one product X @ H_d,
+            # not one tiny product per row.  A group holds at most 2^12
+            # entries, as one row's product does at n = 12, so BLAS runs
+            # it on the calling thread: a product over a whole 4096-row
+            # search chunk is split over threads and then waits for a
+            # second CPU, which on a loaded host makes its time spread.
+            group = min(rows & -rows, 4096 >> d)
+            np.matmul(src.reshape(-1, group, block), _sylvester(d),
+                      out=dst.reshape(-1, group, block))
+        else:
+            np.matmul(
+                _sylvester(d),
+                src.reshape(rows, -1, block).swapaxes(-1, -2),
+                out=dst.reshape(rows, block, -1),
+            )
         src, dst = dst, src
     values[...] = src.reshape(values.shape)
     return values

@@ -50,13 +50,16 @@ def test_wht_matches_brute_force():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batched_transform_matches_butterflies(n):
-    # n = 7..12 split into two stages, unequal for odd n
+    # n = 1..6 is one whole-row stage over groups of rows (96 rows make
+    # groups of 32, a 4096-row search chunk groups of 4096 >> n); n = 7..12
+    # split into two stages, unequal for odd n
     rng = np.random.default_rng(100 + n)
-    rows = 1 - 2 * rng.integers(0, 2, size=(5, 1 << n), dtype=np.int64)
-    expected = partial_hadamard_inplace(rows.copy(), range(n))
-    got = hadamard_inplace(rows.copy())
-    assert got.dtype == np.int64
-    assert (got == expected).all()
+    for count in (5, 96, 4096 if n <= 6 else 7):
+        rows = 1 - 2 * rng.integers(0, 2, size=(count, 1 << n), dtype=np.int64)
+        expected = partial_hadamard_inplace(rows.copy(), range(n))
+        got = hadamard_inplace(rows.copy())
+        assert got.dtype == np.int64
+        assert (got == expected).all()
 
 
 def test_transform_is_exact_at_the_n24_ceiling():
