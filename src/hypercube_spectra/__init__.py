@@ -60,7 +60,6 @@ from .spectrum import (
     Spectrum,
     influences_combinatorial,
     influences_spectral,
-    weighted_degree_sum,
     wht,
 )
 
@@ -112,6 +111,5 @@ __all__ = [
     "Spectrum",
     "influences_combinatorial",
     "influences_spectral",
-    "weighted_degree_sum",
     "wht",
 ]

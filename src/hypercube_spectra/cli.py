@@ -123,6 +123,9 @@ def _parse_coords(text: str | None, n: int) -> list[int]:
         raise ValueError(f"malformed coordinate list {text!r}") from None
 
 
+MAX_EPS_VALUES = 10_000  # longest START:STOP:STEP range, checked before it is built
+
+
 def _parse_eps_values(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_EPS_LIST
@@ -131,15 +134,21 @@ def _parse_eps_values(text: str | None) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"eps range must be START:STOP:STEP, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"eps range needs finite START:STOP:STEP, got {text!r}")
         if step <= 0:
             raise ValueError("eps range step must be positive")
-        out = []
-        value = start
-        while value <= stop + 1e-12:
-            out.append(round(value, 12))
-            value += step
-        return tuple(out)
-    return tuple(float(p) for p in text.split(",") if p)
+        count = max(0, math.floor((stop + 1e-12 - start) / step) + 1)
+        if count > MAX_EPS_VALUES:
+            raise ValueError(
+                f"--eps range {text!r} holds {count} values; the limit is {MAX_EPS_VALUES}"
+            )
+        values = tuple(round(start + i * step, 12) for i in range(count))
+    else:
+        values = tuple(float(p) for p in text.split(",") if p)
+    if not values:
+        raise ValueError(f"--eps {text!r} lists no values")
+    return values
 
 
 def _metric_list(text: str) -> tuple[str, ...]:
@@ -175,7 +184,7 @@ def _cmd_spectrum(args):
 def _cmd_moments(args):
     f, _ = _load_function(args)
     coords = _parse_coords(args.coords, f.n)
-    grid = _parse_eps_values(args.eps) if args.eps else None
+    grid = None if args.eps is None else _parse_eps_values(args.eps)
     curve = moment_curve(f, coords, grid)
     if args.format == "csv":
         lines = ["eps,value"]
@@ -192,7 +201,7 @@ def _cmd_moments(args):
 def _cmd_chain(args):
     f, _ = _load_function(args)
     order = _parse_coords(args.order, f.n) if args.order else None
-    report = chain(f, args.eps, order=order)
+    (report,) = chain(f, (args.eps,), order=order)
     ok = all(s.delta >= s.floor - _VIOLATION_TOL for s in report.steps)
     ok = ok and report.final >= report.telescoped_floor - _VIOLATION_TOL
     return _fingerprint(f), ("ok" if ok else "violation"), report.as_dict()
@@ -265,7 +274,9 @@ def _verify_lemma31(args):
         raise ValueError("--trials must be positive")
     _check_max_n(args.max_n)
     eps_values = (
-        _parse_eps_values(args.eps) if args.eps else (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
+        _parse_eps_values(args.eps)
+        if args.eps is not None
+        else (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
     )
     rng = np.random.default_rng(args.seed)
     checks = 0
@@ -276,8 +287,7 @@ def _verify_lemma31(args):
         n = int(rng.integers(1, args.max_n + 1))
         f = _rng_function(rng, n)
         order = (rng.permutation(n) + 1).tolist()
-        for eps in eps_values:
-            report = chain(f, float(eps), order=order)
+        for report in chain(f, eps_values, order=order):
             margins = [s.delta - s.floor for s in report.steps]
             margins.append(report.final - report.telescoped_floor)
             checks += len(margins)
@@ -285,7 +295,7 @@ def _verify_lemma31(args):
             violations += sum(1 for m in margins if m < -_VIOLATION_TOL)
             if low < min_margin:
                 min_margin = low
-                witness = {"n": n, "fn": f.to_hex(), "eps": float(eps), "order": order}
+                witness = {"n": n, "fn": f.to_hex(), "eps": report.eps, "order": order}
     payload = {
         "trials": args.trials,
         "max_n": args.max_n,

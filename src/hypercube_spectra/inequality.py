@@ -40,38 +40,8 @@ def _check_pair(a: float, b: float, eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
 
-def _cross_terms(a: float, b: float, eps: float) -> tuple[float, float]:
-    p = 1.0 + eps
-    sa, sb = math.sqrt(a), math.sqrt(b)
-    return ((sb + sa) ** 2) ** p / 2.0, ((sb - sa) ** 2) ** p / 2.0
-
-
-def lemma24_gap(a: float, b: float, eps: float) -> float:
-    """(3 eps + 2 eps^2) a + (b^eps - a^eps) a - L(a,b,eps); >= 0 always."""
-    _check_pair(a, b, eps)
-    p = 1.0 + eps
-    plus, minus = _cross_terms(a, b, eps)
-    return math.fsum(
-        [
-            (3.0 * eps + 2.0 * eps * eps) * a,
-            (b**eps - a**eps) * a,
-            a**p,
-            b**p,
-            -plus,
-            -minus,
-        ]
-    )
-
-
-def eq27_gap(a: float, b: float, eps: float) -> float:
-    """L(a,b,eps) - (b^eps - a^eps) a; >= 0 always (the lower half)."""
-    _check_pair(a, b, eps)
-    p = 1.0 + eps
-    plus, minus = _cross_terms(a, b, eps)
-    return math.fsum([plus, minus, -(a**p), -(b**p), -(b**eps - a**eps) * a])
-
-
-def _gap_grid(a: np.ndarray, b: np.ndarray, eps: float, upper: bool) -> np.ndarray:
+def _gap_grid(a: np.ndarray, b: np.ndarray, eps, upper: bool) -> np.ndarray:
+    """Upper (lemma24) or lower (eq27) gap elementwise; eps is a scalar or an array like a."""
     p = 1.0 + eps
     sa, sb = np.sqrt(a), np.sqrt(b)
     cross = ((sb + sa) ** 2) ** p / 2.0 + ((sb - sa) ** 2) ** p / 2.0 - a**p - b**p
@@ -79,6 +49,21 @@ def _gap_grid(a: np.ndarray, b: np.ndarray, eps: float, upper: bool) -> np.ndarr
     if upper:
         return base + (3.0 * eps + 2.0 * eps * eps) * a - cross
     return cross - base
+
+
+def lemma24_gap(a: float, b: float, eps: float) -> float:
+    """(3 eps + 2 eps^2) a + (b^eps - a^eps) a - L(a,b,eps); >= 0 always."""
+    _check_pair(a, b, eps)
+    return float(_gap_grid(np.array([a]), np.array([b]), eps, upper=True)[0])
+
+
+def eq27_gap(a: float, b: float, eps: float) -> float:
+    """L(a,b,eps) - (b^eps - a^eps) a; >= 0 always (the lower half)."""
+    _check_pair(a, b, eps)
+    return float(_gap_grid(np.array([a]), np.array([b]), eps, upper=False)[0])
+
+
+MAX_GRID_STEPS = 2048  # per axis; memory grows with its square (232 MB peak at 2048)
 
 
 @dataclass(frozen=True)
@@ -92,6 +77,13 @@ class ScalarGridSpec:
     def __post_init__(self) -> None:
         if self.a_steps < 2 or self.b_steps < 2:
             raise ValueError("grids need at least two steps to include 0 and 1")
+        if max(self.a_steps, self.b_steps) > MAX_GRID_STEPS:
+            raise ValueError(
+                f"grids take at most {MAX_GRID_STEPS} steps per axis, "
+                f"got {self.a_steps} x {self.b_steps}"
+            )
+        if not self.eps_list:
+            raise ValueError("the grid needs at least one eps value")
         for e in self.eps_list:
             if not 0.0 < e < 0.5:
                 raise ValueError(f"eps values must lie in (0, 1/2), got {e}")
@@ -157,9 +149,7 @@ def sweep_gap_random(kind: str, count: int, seed: int) -> SweepResult:
     a = rng.random(count)
     b = a + (1.0 - a) * rng.random(count)
     eps = np.clip(rng.random(count) * 0.5, 1e-9, 0.5 - 1e-9)
-    gaps = np.empty(count)
-    for i in range(count):  # eps varies per sample, so no single vector call
-        gaps[i] = _gap_grid(a[i : i + 1], b[i : i + 1], float(eps[i]), kind == "lemma24")[0]
+    gaps = _gap_grid(a, b, eps, upper=(kind == "lemma24"))
     violations = int(np.count_nonzero(gaps < -_GAP_TOLERANCE))
     low = int(np.argmin(gaps))
     return SweepResult(

@@ -46,20 +46,12 @@ def _check_coords(coords, n: int, label: str) -> list[int]:
     return out
 
 
-def _power_sum(transformed: np.ndarray, m: int, n: int, eps: float) -> float:
-    """Moment from a table carrying 2^m-scaled restricted coefficients."""
+def _power_sums(
+    transformed: np.ndarray, m: int, n: int, eps_values: Iterable[float]
+) -> list[float]:
+    """Moments, one per eps, from a table carrying 2^m-scaled restricted coefficients."""
     squared = transformed.astype(np.float64) ** 2 / 4.0**m  # exact: |c| <= 2^m
-    return float(np.power(squared, 1.0 + eps).sum()) / 2.0 ** (n - m)
-
-
-def moment(f: BooleanFunction, coords: Iterable[int], eps: float) -> float:
-    """M_{V,eps}(f) for V given as 1-based coordinate labels."""
-    _check_eps(eps)
-    v = _check_coords(coords, f.n, "coordinate set")
-    if not v:
-        return 1.0
-    work = partial_hadamard_inplace(f.values(), [k - 1 for k in v])
-    return _power_sum(work, len(v), f.n, eps)
+    return [float(np.power(squared, 1.0 + eps).sum()) / 2.0 ** (n - m) for eps in eps_values]
 
 
 @dataclass(frozen=True)
@@ -84,10 +76,12 @@ def moment_curve(
     if not v:
         return MomentCurve((), grid, tuple(1.0 for _ in grid))
     work = partial_hadamard_inplace(f.values(), [k - 1 for k in v])
-    m = len(v)
-    return MomentCurve(
-        tuple(v), grid, tuple(_power_sum(work, m, f.n, e) for e in grid)
-    )
+    return MomentCurve(tuple(v), grid, tuple(_power_sums(work, len(v), f.n, grid)))
+
+
+def moment(f: BooleanFunction, coords: Iterable[int], eps: float) -> float:
+    """M_{V,eps}(f) for V given as 1-based coordinate labels."""
+    return moment_curve(f, coords, (eps,)).values[0]
 
 
 def lemma22_check(f: BooleanFunction, j_set: Iterable[int], k: int):
@@ -145,42 +139,42 @@ class ChainReport:
         }
 
 
-def chain(f: BooleanFunction, eps: float, order: Sequence[int] | None = None) -> ChainReport:
-    """Grow V one coordinate at a time and track each moment drop.
+def chain(
+    f: BooleanFunction, eps_values: Sequence[float], order: Sequence[int] | None = None
+) -> tuple[ChainReport, ...]:
+    """Grow V one coordinate at a time and track each moment drop, per eps.
 
     Each step reuses the previous table and applies a single butterfly
-    pass, so the whole chain costs one full transform.
+    pass, so the chains for every eps share one full transform; only the
+    power sums and floors depend on eps.  Reports follow `eps_values`.
     """
-    _check_eps(eps)
-    if eps == 0.0:
-        raise ValueError("the chain needs eps > 0; every moment is 1 at eps = 0")
+    eps_values = tuple(eps_values)
+    if not eps_values:
+        raise ValueError("the chain needs at least one eps")
+    for eps in eps_values:
+        _check_eps(eps)
+        if eps == 0.0:
+            raise ValueError("the chain needs eps > 0; every moment is 1 at eps = 0")
     seq = list(order) if order is not None else list(range(1, f.n + 1))
     if sorted(seq) != list(range(1, f.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{f.n}")
-    profile = influences_combinatorial(f)
+    per_coord = influences_combinatorial(f).per_coord
     work = f.values()
-    previous = 1.0
-    steps = []
+    rows = []  # rows[depth - 1][j]: moment after `depth` coordinates at eps_values[j]
     for depth, coord in enumerate(seq, start=1):
         partial_hadamard_inplace(work, [coord - 1])
-        value = _power_sum(work, depth, f.n, eps)
-        steps.append(
-            ChainStep(
-                coord=coord,
-                value=value,
-                delta=value - previous,
-                floor=step_floor(profile.per_coord[coord - 1], eps),
-            )
-        )
-        previous = value
-    telescoped = 1.0 - math.fsum(-s.floor for s in steps)
-    return ChainReport(
-        eps=eps,
-        order=tuple(seq),
-        steps=tuple(steps),
-        final=previous,
-        telescoped_floor=telescoped,
-    )
+        rows.append(_power_sums(work, depth, f.n, eps_values))
+    reports = []
+    for j, eps in enumerate(eps_values):
+        previous = 1.0
+        steps = []
+        for coord, row in zip(seq, rows):
+            floor = step_floor(per_coord[coord - 1], eps)
+            steps.append(ChainStep(coord, row[j], row[j] - previous, floor))
+            previous = row[j]
+        telescoped = 1.0 - math.fsum(-s.floor for s in steps)
+        reports.append(ChainReport(eps, tuple(seq), tuple(steps), previous, telescoped))
+    return tuple(reports)
 
 
 def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float:
@@ -192,8 +186,7 @@ def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float
     if not 0.0 < h <= 1e-3:
         raise ValueError(f"step h must lie in (0, 1e-3], got {h}")
     work = hadamard_inplace(f.values())
-    m_h = _power_sum(work, f.n, f.n, h)
-    m_half = _power_sum(work, f.n, f.n, h / 2.0)
+    m_h, m_half = _power_sums(work, f.n, f.n, (h, h / 2.0))
     d_h = (m_h - 1.0) / h
     d_half = (m_half - 1.0) / (h / 2.0)
     return -(2.0 * d_half - d_h) / LN2

@@ -167,8 +167,3 @@ def influences_spectral(spectrum: Spectrum) -> InfluenceProfile:
         tuple(Fraction(int(v), scale) for v in influence_numerators(spectrum.squared()))
     )
 
-
-def weighted_degree_sum(spectrum: Spectrum) -> int:
-    """sum_S |S| coeffs[S]^2, which equals 4^n times the total influence."""
-    sizes = np.bitwise_count(np.arange(1 << spectrum.n, dtype=np.int64))
-    return int((sizes * spectrum.squared()).sum())

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 
-from hypercube_spectra import BooleanFunction, from_sign_bits
+from hypercube_spectra import BooleanFunction, Spectrum, from_sign_bits
 
 
 def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
@@ -59,3 +59,9 @@ def brute_influence(f: BooleanFunction, k: int) -> Fraction:
         1 for i in range(f.size) if f.evaluate(i) != f.evaluate(i ^ (1 << (k - 1)))
     )
     return Fraction(changed, f.size)
+
+
+def weighted_degree_sum(spectrum: Spectrum) -> int:
+    """sum_S |S| coeffs[S]^2, which equals 4^n times the total influence."""
+    sizes = np.bitwise_count(np.arange(1 << spectrum.n, dtype=np.int64))
+    return int((sizes * spectrum.squared()).sum())

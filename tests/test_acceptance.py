@@ -44,11 +44,10 @@ from hypercube_spectra.search import (
 from hypercube_spectra.spectrum import (
     influences_combinatorial,
     influences_spectral,
-    weighted_degree_sum,
     wht,
 )
 
-from conftest import random_function
+from conftest import random_function, weighted_degree_sum
 
 EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
 
@@ -144,8 +143,7 @@ def test_ac4_chain_floors(capfd):
         n = int(rng.integers(1, 9))
         f = random_function(rng, n)
         order = (rng.permutation(n) + 1).tolist()
-        for eps in EPS7:
-            rep = chain(f, eps, order=order)
+        for rep in chain(f, EPS7, order=order):
             margins = [s.delta - s.floor for s in rep.steps]
             margins.append(rep.final - rep.telescoped_floor)
             checks += len(margins)

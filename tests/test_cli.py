@@ -208,6 +208,35 @@ def test_verify_scalar_random_must_be_positive(capsys):
         _assert_error_envelope(code, out, "--random must be positive")
 
 
+@pytest.mark.parametrize("eps", ["", ",", "0.3:0.1:0.1"])
+def test_empty_eps_list_is_refused(capsys, eps):
+    for argv in (
+        ("verify", "lemma31", "--trials", "2", "--max-n", "3"),
+        ("verify", "lemma24", "--grid", "5"),
+        ("verify", "eq27", "--grid", "5"),
+        ("moments", "--family", "majority:n=3"),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--eps", eps)
+        _assert_error_envelope(code, out, "--eps")
+
+
+def test_eps_range_length_is_bounded(capsys):
+    # 48,001 values: refused before the list is built
+    code, out, _ = run_cli(capsys, "moments", "--family", "majority:n=3", "--eps", "0.01:0.49:1e-5")
+    _assert_error_envelope(code, out, "--eps range")
+    assert len(cli._parse_eps_values("0:0.9999:0.0001")) == cli.MAX_EPS_VALUES
+    with pytest.raises(ValueError, match="--eps range"):
+        cli._parse_eps_values("0:1:0.0001")
+    code, out, _ = run_cli(capsys, "moments", "--family", "majority:n=3", "--eps", "0:inf:0.1")
+    _assert_error_envelope(code, out, "finite")
+
+
+def test_scalar_grid_is_bounded(capsys):
+    for kind in ("lemma24", "eq27"):
+        code, out, _ = run_cli(capsys, "verify", kind, "--grid", "2049", "--eps", "0.25")
+        _assert_error_envelope(code, out, "at most 2048 steps")
+
+
 def test_verify_lemma_max_n_must_be_positive(capsys):
     for kind in ("lemma22", "lemma31"):
         for max_n in ("0", "-1"):

@@ -23,6 +23,7 @@ from hypercube_spectra import (
     sweep_gap_random,
     wht,
 )
+from hypercube_spectra.inequality import MAX_GRID_STEPS, SweepResult, _gap_grid
 
 
 def test_lemma24_gap_spot_values():
@@ -85,6 +86,35 @@ def test_random_sweep_seeded_and_deterministic():
     assert first.min_gap >= -1e-12
 
 
+def test_random_sweep_equals_per_sample_reference():
+    # the sampling of sweep_gap_random, then one scalar-eps _gap_grid call per triple
+    for kind, seed in (("lemma24", 4), ("eq27", 11)):
+        rng = np.random.default_rng(seed)
+        a = rng.random(3000)
+        b = a + (1.0 - a) * rng.random(3000)
+        eps = np.clip(rng.random(3000) * 0.5, 1e-9, 0.5 - 1e-9)
+        gaps = np.array(
+            [_gap_grid(a[i : i + 1], b[i : i + 1], float(eps[i]), kind == "lemma24")[0]
+             for i in range(3000)]
+        )
+        low = int(np.argmin(gaps))
+        expected = SweepResult(
+            kind,
+            3000,
+            int(np.count_nonzero(gaps < -1e-12)),
+            float(gaps[low]),
+            (float(a[low]), float(b[low]), float(eps[low])),
+        )
+        assert sweep_gap_random(kind, 3000, seed) == expected  # bitwise, no tolerance
+
+
+def test_scalar_gaps_are_grid_values():
+    for a, b, eps in ((0.0, 0.7, 0.3), (0.25, 1.0, 0.1), (0.4, 0.9, 0.49), (1.0, 1.0, 1e-9)):
+        grid = np.array([a]), np.array([b])
+        assert lemma24_gap(a, b, eps) == _gap_grid(*grid, eps, upper=True)[0]
+        assert eq27_gap(a, b, eps) == _gap_grid(*grid, eps, upper=False)[0]
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_gap("lemma25")
@@ -92,6 +122,13 @@ def test_sweep_validation():
         ScalarGridSpec(a_steps=1)
     with pytest.raises(ValueError):
         ScalarGridSpec(eps_list=(0.5,))
+    with pytest.raises(ValueError):
+        ScalarGridSpec(eps_list=())
+    with pytest.raises(ValueError):
+        ScalarGridSpec(a_steps=MAX_GRID_STEPS + 1)
+    with pytest.raises(ValueError):
+        ScalarGridSpec(b_steps=MAX_GRID_STEPS + 1)
+    assert ScalarGridSpec(a_steps=MAX_GRID_STEPS, b_steps=MAX_GRID_STEPS).a_steps == MAX_GRID_STEPS
     with pytest.raises(ValueError):
         sweep_gap_random("eq27", 0, seed=1)
 

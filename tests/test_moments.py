@@ -22,6 +22,8 @@ from hypercube_spectra import (
     step_floor,
 )
 
+EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)  # the default eps set of `verify lemma31`
+
 
 def test_moment_conventions():
     rng = np.random.default_rng(2)
@@ -131,7 +133,7 @@ def test_lemma22_exact_equality_random():
 
 
 def test_chain_parity_stays_flat():
-    report = chain(parity(3), 0.25)
+    (report,) = chain(parity(3), (0.25,))
     assert report.final == pytest.approx(1.0, abs=1e-12)
     for step in report.steps:
         assert step.delta == pytest.approx(0.0, abs=1e-12)
@@ -139,7 +141,7 @@ def test_chain_parity_stays_flat():
 
 
 def test_chain_majority3_reaches_full_moment():
-    report = chain(majority(3), 0.25)
+    (report,) = chain(majority(3), (0.25,))
     assert report.final == pytest.approx(4.0 ** (-0.25), abs=1e-12)
     assert [s.coord for s in report.steps] == [1, 2, 3]
     for step in report.steps:
@@ -149,15 +151,19 @@ def test_chain_majority3_reaches_full_moment():
 
 def test_chain_respects_order_and_validates():
     f = majority(3)
-    report = chain(f, 0.2, order=[3, 1, 2])
+    (report,) = chain(f, (0.2,), order=[3, 1, 2])
     assert [s.coord for s in report.steps] == [3, 1, 2]
     assert report.final == pytest.approx(moment(f, [1, 2, 3], 0.2), abs=1e-12)
     with pytest.raises(ValueError):
-        chain(f, 0.2, order=[1, 2])
+        chain(f, (0.2,), order=[1, 2])
     with pytest.raises(ValueError):
-        chain(f, 0.0)
+        chain(f, (0.0,))
     with pytest.raises(ValueError):
-        chain(f, 0.5)
+        chain(f, (0.5,))
+    with pytest.raises(ValueError):
+        chain(f, (0.25, 0.5))
+    with pytest.raises(ValueError):
+        chain(f, ())
 
 
 def test_chain_final_matches_direct_moment():
@@ -166,7 +172,7 @@ def test_chain_final_matches_direct_moment():
         n = int(rng.integers(2, 7))
         f = random_function(rng, n)
         eps = float(rng.uniform(0.01, 0.49))
-        report = chain(f, eps)
+        (report,) = chain(f, (eps,))
         assert report.final == pytest.approx(moment(f, range(1, n + 1), eps), abs=1e-12)
 
 
@@ -176,16 +182,26 @@ def test_chain_floor_holds_on_random_orders():
         n = int(rng.integers(2, 8))
         f = random_function(rng, n)
         order = (rng.permutation(n) + 1).tolist()
-        for eps in (0.05, 0.25, 0.45):
-            report = chain(f, eps, order=order)
+        for report in chain(f, (0.05, 0.25, 0.45), order=order):
             for step in report.steps:
                 assert step.delta >= step.floor - 1e-9
             assert report.final >= report.telescoped_floor - 1e-9
 
 
+def test_chain_batch_equals_one_eps_at_a_time():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        f = random_function(rng, n)
+        order = (rng.permutation(n) + 1).tolist()
+        batch = chain(f, EPS7, order)
+        assert [r.eps for r in batch] == list(EPS7)
+        assert list(batch) == [chain(f, (e,), order)[0] for e in EPS7]  # bitwise, no tolerance
+
+
 def test_chain_size_guard():
     f = parity(17)  # no size limit: the report holds n scalars
-    report = chain(f, 0.25)
+    (report,) = chain(f, (0.25,))
     assert report.final == pytest.approx(1.0, abs=1e-12)
 
 
@@ -223,6 +239,6 @@ def test_derivative_step_validation():
 def test_minblock_chain_floors_with_exact_influences():
     f = minblock(2, 3)
     prof = influences_combinatorial(f)
-    report = chain(f, 0.3)
+    (report,) = chain(f, (0.3,))
     for step in report.steps:
         assert step.floor == pytest.approx(step_floor(prof.per_coord[step.coord - 1], 0.3))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_spectrum, random_function
+from conftest import brute_spectrum, random_function, weighted_degree_sum
 from hypercube_spectra import (
     BooleanFunction,
     and_function,
@@ -13,7 +13,6 @@ from hypercube_spectra import (
     influences_spectral,
     majority,
     parity,
-    weighted_degree_sum,
     wht,
 )
 from hypercube_spectra.spectrum import hadamard_inplace, partial_hadamard_inplace
