@@ -21,16 +21,6 @@ import numpy as np
 
 MAX_N = 24
 
-_FAMILY_NAMES = (
-    "parity",
-    "and",
-    "dictator",
-    "majority",
-    "minblock",
-    "tribes",
-    "first-even-group",
-)
-
 
 def _check_dim(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
@@ -169,10 +159,8 @@ class FamilySpec:
     params: dict[str, int | str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in _FAMILY_NAMES:
-            raise ValueError(
-                f"unknown family {self.name!r}; known: {', '.join(_FAMILY_NAMES)}"
-            )
+        if self.name not in _FAMILIES:
+            raise ValueError(f"unknown family {self.name!r}; known: {', '.join(_FAMILIES)}")
 
     @classmethod
     def parse(cls, text: str) -> FamilySpec:
@@ -199,21 +187,6 @@ class FamilySpec:
             return self.name
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}:{inner}"
-
-
-def _take(params: dict, allowed: dict[str, int | str | None], family: str) -> dict:
-    out = {}
-    for key, default in allowed.items():
-        if key in params:
-            out[key] = params[key]
-        elif default is not None:
-            out[key] = default
-        else:
-            raise ValueError(f"family {family!r} requires parameter {key!r}")
-    extra = set(params) - set(allowed)
-    if extra:
-        raise ValueError(f"family {family!r} does not take {sorted(extra)}")
-    return out
 
 
 def _index(n: int) -> np.ndarray:
@@ -307,28 +280,26 @@ def first_even_group(s: int, t: int, fallback: str = "t") -> BooleanFunction:
     return from_sign_bits(((p0 & 1) == 1).astype(np.uint8))
 
 
+# name -> (builder, required keyword parameters, optional ones); the
+# optional ones take the builder's own defaults.
+_FAMILIES = {
+    "parity": (parity, ("s",), ("n",)),
+    "and": (and_function, ("n",), ()),
+    "dictator": (dictator, ("n",), ("k",)),
+    "majority": (majority, ("n",), ()),
+    "minblock": (minblock, ("s", "t"), ()),
+    "tribes": (tribes, ("w", "s"), ()),
+    "first-even-group": (first_even_group, ("s", "t"), ("fallback",)),
+}
+
+
 def make_family(spec: FamilySpec) -> BooleanFunction:
     """Instantiate a parsed family spec."""
-    name, params = spec.name, spec.params
-    if name == "parity":
-        got = _take(params, {"s": None, "n": -1}, name)
-        return parity(got["s"], None if got["n"] == -1 else got["n"])
-    if name == "and":
-        got = _take(params, {"n": None}, name)
-        return and_function(got["n"])
-    if name == "dictator":
-        got = _take(params, {"n": None, "k": 1}, name)
-        return dictator(got["n"], got["k"])
-    if name == "majority":
-        got = _take(params, {"n": None}, name)
-        return majority(got["n"])
-    if name == "minblock":
-        got = _take(params, {"s": None, "t": None}, name)
-        return minblock(got["s"], got["t"])
-    if name == "tribes":
-        got = _take(params, {"w": None, "s": None}, name)
-        return tribes(got["w"], got["s"])
-    if name == "first-even-group":
-        got = _take(params, {"s": None, "t": None, "fallback": "t"}, name)
-        return first_even_group(got["s"], got["t"], got["fallback"])
-    raise ValueError(f"unknown family {name!r}")
+    builder, required, optional = _FAMILIES[spec.name]
+    for key in required:
+        if key not in spec.params:
+            raise ValueError(f"family {spec.name!r} requires parameter {key!r}")
+    extra = set(spec.params) - set(required) - set(optional)
+    if extra:
+        raise ValueError(f"family {spec.name!r} does not take {sorted(extra)}")
+    return builder(**spec.params)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .boolfn import BooleanFunction, FamilySpec, from_sign_bits, make_family
+from .boolfn import MAX_N, BooleanFunction, FamilySpec, from_sign_bits, make_family
 from .entropy import analyze
 from .inequality import (
     DEFAULT_EPS_LIST,
@@ -218,7 +218,7 @@ def _verify_scalar(kind: str, args):
             raise ValueError(f"--random must be positive, got {args.random}")
         if args.seed is None:
             raise ValueError("--random needs --seed")
-    grid = ScalarGridSpec(args.grid, args.grid, _parse_eps_values(args.eps))
+    grid = ScalarGridSpec(args.grid, _parse_eps_values(args.eps))
     result = sweep_gap(kind, grid)
     payload = {"grid": result.as_dict(), "tolerance": 1e-12}
     violations = result.violations
@@ -234,10 +234,17 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"--max-n must be positive, got {max_n}")
 
 
-def _verify_lemma22(args):
+def _check_trials(args) -> None:
+    """Refuse a random-function sweep before its first trial draws a table."""
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     _check_max_n(args.max_n)
+    if args.max_n > MAX_N:
+        raise ValueError(f"--max-n must be at most {MAX_N}, got {args.max_n}")
+
+
+def _verify_lemma22(args):
+    _check_trials(args)
     rng = np.random.default_rng(args.seed)
     failures = 0
     first = None
@@ -270,9 +277,7 @@ def _verify_lemma22(args):
 
 
 def _verify_lemma31(args):
-    if args.trials < 1:
-        raise ValueError("--trials must be positive")
-    _check_max_n(args.max_n)
+    _check_trials(args)
     eps_values = (
         _parse_eps_values(args.eps)
         if args.eps is not None
@@ -332,7 +337,7 @@ def _verify_theorem(args):
     witness = None
     for job in jobs:
         for chunk in range(job.total_chunks):
-            tables, stats = chunk_stats(job, chunk)
+            bits, stats = chunk_stats(job, chunk)
             keep = stats["nonconstant"]
             checked += int(np.count_nonzero(keep))
             ent, bound, drop = stats["entropy"], stats["bound"], stats["bound_drop_one"]
@@ -342,7 +347,7 @@ def _verify_theorem(args):
             top = int(np.argmax(ratio))
             if ratio[top] > max_ratio:
                 max_ratio = float(ratio[top])
-                witness = {"n": job.n, "fn": BooleanFunction(job.n, tables[top]).to_hex()}
+                witness = {"n": job.n, "fn": from_sign_bits(bits[top]).to_hex()}
     payload = {
         **mode,
         "checked": checked,

@@ -70,17 +70,16 @@ MAX_GRID_STEPS = 2048  # per axis; memory grows with its square (232 MB peak at 
 class ScalarGridSpec:
     """Uniform sweep grid: a and b over [0,1] including endpoints and a=b."""
 
-    a_steps: int = 200
-    b_steps: int = 200
+    steps: int = 200  # per axis
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
 
     def __post_init__(self) -> None:
-        if self.a_steps < 2 or self.b_steps < 2:
+        if self.steps < 2:
             raise ValueError("grids need at least two steps to include 0 and 1")
-        if max(self.a_steps, self.b_steps) > MAX_GRID_STEPS:
+        if self.steps > MAX_GRID_STEPS:
             raise ValueError(
                 f"grids take at most {MAX_GRID_STEPS} steps per axis, "
-                f"got {self.a_steps} x {self.b_steps}"
+                f"got {self.steps} x {self.steps}"
             )
         if not self.eps_list:
             raise ValueError("the grid needs at least one eps value")
@@ -119,9 +118,8 @@ def sweep_gap(kind: str, grid: ScalarGridSpec | None = None) -> SweepResult:
     if kind not in ("lemma24", "eq27"):
         raise ValueError(f"unknown gap kind {kind!r}")
     grid = grid or ScalarGridSpec()
-    a_axis = np.linspace(0.0, 1.0, grid.a_steps)
-    b_axis = np.linspace(0.0, 1.0, grid.b_steps)
-    aa, bb = np.meshgrid(a_axis, b_axis, indexing="ij")
+    axis = np.linspace(0.0, 1.0, grid.steps)
+    aa, bb = np.meshgrid(axis, axis, indexing="ij")
     keep = aa <= bb
     a_flat, b_flat = aa[keep], bb[keep]
     evaluated = 0

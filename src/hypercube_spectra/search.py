@@ -123,9 +123,9 @@ class ExtremalRecord:
 def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     """Spectral statistics for a (batch, 2^n) sign-bit matrix, vectorised.
 
-    Influence numerators and Parseval sums stay integral; everything else
-    is float.  Rows for constant functions carry zeros in the ratio
-    columns and False in 'nonconstant'.
+    Influence numerators stay integral; everything else is float.  Rows
+    for constant functions carry zeros in the ratio columns and False in
+    'nonconstant'.
     """
     n = bits.shape[-1].bit_length() - 1
     coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
@@ -136,7 +136,6 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     entropy, min_entropy = spectral_entropies(squared)
     floats = influence_floats(inf_num / 4.0**n)
     return {
-        "n": n,
         "nonconstant": floats["total"] > 0.0,
         "entropy": entropy,
         "min_entropy": min_entropy,
@@ -146,7 +145,6 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
         "term_sum": floats["term_sum"],
         "jensen_cap": floats["jensen_cap"],
         "q31_worst": worst,
-        "parseval": squared.sum(axis=1),
         "influence_num": inf_num,
     }
 
@@ -175,57 +173,59 @@ def metric_value(metric: str, f: BooleanFunction) -> float:
     return float(metric_columns(stats)[metric][0])
 
 
-def _exhaustive_bits(n: int, start: int, stop: int) -> tuple[list[int], np.ndarray]:
+def _exhaustive_bits(n: int, start: int, stop: int) -> np.ndarray:
     tables = np.arange(start, stop, dtype=np.int64)
     shifts = np.arange(1 << n, dtype=np.int64)
-    bits = ((tables[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return [int(t) for t in tables], bits
+    return ((tables[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def _sample_bits(n: int, seed: int, start: int, stop: int) -> tuple[list[int], np.ndarray]:
+def _sample_bits(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     key = hashlib.sha256(str(seed).encode()).digest()
     size = 1 << n
     nbytes = max(1, size // 8)
     blocks = -(-nbytes // 64)
-    raw = [
+    raw = b"".join(
         b"".join(
             hashlib.blake2b(struct.pack("<QI", index, blk), key=key).digest()
             for blk in range(blocks)
         )[:nbytes]
         for index in range(start, stop)
-    ]
-    mask = (1 << size) - 1  # n < 3 keeps only the low 2^n bits of the byte
-    bits = np.frombuffer(b"".join(raw), np.uint8).reshape(len(raw), nbytes)
-    bits = np.unpackbits(bits, axis=1, bitorder="little")[:, :size]
-    return [int.from_bytes(row, "little") & mask for row in raw], bits
+    )
+    bits = np.frombuffer(raw, np.uint8).reshape(stop - start, nbytes)
+    return np.unpackbits(bits, axis=1, bitorder="little")[:, :size]
 
 
-def chunk_stats(job: SearchJob, chunk_index: int) -> tuple[list[int], dict[str, np.ndarray]]:
-    """Table integers and batch_stats of one chunk of a job's index space."""
+def chunk_stats(job: SearchJob, chunk_index: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Sign bits and batch_stats of one chunk of a job's index space."""
     start = chunk_index * job.chunk_size
     stop = min(start + job.chunk_size, job.total_indices)
     if job.mode == "exhaustive":
-        tables, bits = _exhaustive_bits(job.n, start, stop)
+        bits = _exhaustive_bits(job.n, start, stop)
     else:
-        tables, bits = _sample_bits(job.n, job.seed, start, stop)
-    return tables, batch_stats(bits)
+        bits = _sample_bits(job.n, job.seed, start, stop)
+    return bits, batch_stats(bits)
+
+
+def _smallest_table(bits: np.ndarray) -> int:
+    """Table integer of the smallest of a (rows, 2^n) sign-bit matrix's rows."""
+    packed = np.packbits(bits, axis=1, bitorder="little")  # byte j = table bits 8j..8j+7
+    row = packed[np.lexsort(packed.T)[0]]  # lexsort's primary key is the last, highest byte
+    return int.from_bytes(row.tobytes(), "little")
 
 
 def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]]:
-    tables, stats = chunk_stats(job, chunk_index)
+    bits, stats = chunk_stats(job, chunk_index)
     keep = stats["nonconstant"]
     if not keep.any():
         return {}
     columns = metric_columns(stats)
     out = {}
-    table_arr = np.asarray(tables, dtype=object)
     for metric in job.metrics:
         vals = columns[metric]
         masked = vals[keep]
         target = masked.min() if metric in _MINIMIZED else masked.max()
         tied = keep & (vals == target)
-        witness = min(table_arr[tied])
-        out[metric] = (float(target), int(witness))
+        out[metric] = (float(target), _smallest_table(bits[tied]))
     return out
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 
 from hypercube_spectra import BooleanFunction, Spectrum, from_sign_bits
+from hypercube_spectra.spectrum import hadamard_inplace
 
 
 def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
@@ -65,3 +66,9 @@ def weighted_degree_sum(spectrum: Spectrum) -> int:
     """sum_S |S| coeffs[S]^2, which equals 4^n times the total influence."""
     sizes = np.bitwise_count(np.arange(1 << spectrum.n, dtype=np.int64))
     return int((sizes * spectrum.squared()).sum())
+
+
+def parseval_sums(bits: np.ndarray) -> np.ndarray:
+    """sum_S c_S^2 per row of a (rows, 2^n) sign-bit matrix; Parseval makes it 4^n."""
+    coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
+    return (coeffs * coeffs).sum(axis=1)

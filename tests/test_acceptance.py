@@ -47,7 +47,7 @@ from hypercube_spectra.spectrum import (
     wht,
 )
 
-from conftest import random_function, weighted_degree_sum
+from conftest import parseval_sums, random_function, weighted_degree_sum
 
 EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
 
@@ -59,21 +59,30 @@ def report(capfd, label: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def exhaustive_stats():
-    """batch_stats for every function at n = 1..4 (constants included)."""
+def exhaustive_chunks():
+    """(sign bits, batch_stats) for every function at n = 1..4 (constants included)."""
     out = {}
     for n in range(1, 5):
         job = SearchJob(n=n, mode="exhaustive", chunk_size=1 << (1 << n))
-        _tables, out[n] = chunk_stats(job, 0)
+        out[n] = chunk_stats(job, 0)
     return out
 
 
 @pytest.fixture(scope="session")
-def sampled_stats():
-    """batch_stats for 10^4 seeded random functions at n = 8."""
+def sampled_chunk():
+    """(sign bits, batch_stats) for 10^4 seeded random functions at n = 8."""
     job = SearchJob(n=8, mode="sample", count=10_000, seed=7, chunk_size=10_000)
-    _tables, stats = chunk_stats(job, 0)
-    return stats
+    return chunk_stats(job, 0)
+
+
+@pytest.fixture(scope="session")
+def exhaustive_stats(exhaustive_chunks):
+    return {n: stats for n, (_bits, stats) in exhaustive_chunks.items()}
+
+
+@pytest.fixture(scope="session")
+def sampled_stats(sampled_chunk):
+    return sampled_chunk[1]
 
 
 def test_ac1_entropy_bounded(capfd, exhaustive_stats, sampled_stats):
@@ -280,10 +289,11 @@ def test_ac9_and_ratio_and_search(capfd):
     )
 
 
-def test_ac10_identities(capfd, exhaustive_stats, sampled_stats):
-    all_stats = [*exhaustive_stats.values(), sampled_stats]
+def test_ac10_identities(capfd, exhaustive_chunks, sampled_chunk):
+    all_chunks = [*exhaustive_chunks.values(), sampled_chunk]
+    all_stats = [stats for _bits, stats in all_chunks]
     parseval_ok = all(
-        np.all(stats["parseval"] == 4 ** stats["n"]) for stats in all_stats
+        np.all(parseval_sums(bits) == bits.shape[1] ** 2) for bits, _stats in all_chunks
     )
     minent_ok = all(
         np.all(stats["min_entropy"] <= stats["entropy"] + 1e-12) for stats in all_stats

@@ -244,6 +244,13 @@ def test_verify_lemma_max_n_must_be_positive(capsys):
             _assert_error_envelope(code, out, "--max-n must be positive")
 
 
+def test_verify_lemma_max_n_is_capped(capsys):
+    # refused before the first trial: n = 25 has no truth table to draw
+    for kind in ("lemma22", "lemma31"):
+        code, out, _ = run_cli(capsys, "verify", kind, "--max-n", "25", "--trials", "1")
+        _assert_error_envelope(code, out, "--max-n must be at most 24, got 25")
+
+
 def test_search_cli_json_lines(capsys):
     code, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "exhaustive", "--workers", "1")
     assert code == 0

@@ -69,7 +69,7 @@ def test_gaps_telescope_to_slack_term():
 
 
 def test_grid_sweep_small():
-    spec = ScalarGridSpec(a_steps=60, b_steps=60, eps_list=(0.05, 0.25, 0.45))
+    spec = ScalarGridSpec(steps=60, eps_list=(0.05, 0.25, 0.45))
     for kind in ("lemma24", "eq27"):
         result = sweep_gap(kind, spec)
         assert result.violations == 0
@@ -119,16 +119,14 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep_gap("lemma25")
     with pytest.raises(ValueError):
-        ScalarGridSpec(a_steps=1)
+        ScalarGridSpec(steps=1)
     with pytest.raises(ValueError):
         ScalarGridSpec(eps_list=(0.5,))
     with pytest.raises(ValueError):
         ScalarGridSpec(eps_list=())
     with pytest.raises(ValueError):
-        ScalarGridSpec(a_steps=MAX_GRID_STEPS + 1)
-    with pytest.raises(ValueError):
-        ScalarGridSpec(b_steps=MAX_GRID_STEPS + 1)
-    assert ScalarGridSpec(a_steps=MAX_GRID_STEPS, b_steps=MAX_GRID_STEPS).a_steps == MAX_GRID_STEPS
+        ScalarGridSpec(steps=MAX_GRID_STEPS + 1)
+    assert ScalarGridSpec(steps=MAX_GRID_STEPS).steps == MAX_GRID_STEPS
     with pytest.raises(ValueError):
         sweep_gap_random("eq27", 0, seed=1)
 

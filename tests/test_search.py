@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from hypercube_spectra import (
     BooleanFunction,
     SearchJob,
     analyze,
+    from_sign_bits,
     metric_value,
     q31_report,
     resume_search,
@@ -164,3 +166,34 @@ def test_sample_mode_ignores_chunk_partitioning():
     assert [(r.metric, r.value, r.witness_hex) for r in a] == [
         (r.metric, r.value, r.witness_hex) for r in b
     ]
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        SearchJob(n=2, mode="sample", count=500, seed=1, chunk_size=97),
+        SearchJob(n=3, mode="sample", count=3000, seed=4, chunk_size=700),
+        SearchJob(n=1, mode="exhaustive", chunk_size=3),
+        SearchJob(n=2, mode="exhaustive", chunk_size=5),
+        SearchJob(n=3, mode="exhaustive", chunk_size=7),
+        # two packed bytes per row: the high byte must decide
+        SearchJob(n=4, mode="sample", count=3000, seed=2, chunk_size=1000),
+        SearchJob(n=4, mode="exhaustive"),
+    ],
+    ids=lambda job: f"{job.mode}-n{job.n}",
+)
+def test_chunk_witness_is_smallest_tied_table(job):
+    ties = 0
+    for chunk in range(job.total_chunks):
+        bits, stats = search.chunk_stats(job, chunk)
+        keep = stats["nonconstant"]
+        columns = search.metric_columns(stats) if keep.any() else {}
+        expected = {}
+        for metric, vals in columns.items():
+            pick = np.min if metric in search._MINIMIZED else np.max
+            tied = np.flatnonzero(keep & (vals == pick(vals[keep])))
+            ties += len(tied) - 1
+            tables = [from_sign_bits(bits[i]).table for i in tied]
+            expected[metric] = (float(vals[tied[0]]), min(tables))
+        assert search._chunk_best(job, chunk) == expected
+    assert ties > 0  # the reference compared real ties, not single rows

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_spectrum, random_function, weighted_degree_sum
+from conftest import brute_spectrum, parseval_sums, random_function, weighted_degree_sum
 from hypercube_spectra import (
     BooleanFunction,
     and_function,
@@ -173,7 +173,7 @@ def test_batch_stats_matches_single_function_paths():
         ]
         # both sides are correctly rounded quotients of the same integers
         assert stats["q31_worst"][i] == float(q31_report(s).worst)
-        assert int(stats["parseval"][i]) == 4**5
+    assert parseval_sums(bits).tolist() == [4**5] * len(fns)
 
 
 def test_batch_stats_invariant_under_relabelling():
