@@ -15,6 +15,7 @@ Bit conventions, fixed across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ class BooleanFunction:
 
     def values(self) -> np.ndarray:
         """Truth table as an int64 array of +-1 values, indexed by input index."""
-        return 1 - 2 * self.bits().astype(np.int64)
+        return np.subtract(1, self.bits() << 1, dtype=np.int64)
 
     def is_constant(self) -> bool:
         return self.table == 0 or self.table == (1 << self.size) - 1
@@ -234,28 +235,21 @@ def minblock(s: int, t: int) -> BooleanFunction:
     """Product over t blocks of size s of the block-minimum coordinate value."""
     if s < 1 or t < 1:
         raise ValueError("minblock needs s >= 1 and t >= 1")
-    n = s * t
-    _check_dim(n)
-    idx = _index(n)
-    mask = (1 << s) - 1
-    acc = np.zeros(1 << n, dtype=np.int64)
-    for p in range(t):
-        acc ^= ((idx >> (p * s)) & mask) != 0  # block min is -1 iff any -1
-    return from_sign_bits(acc.astype(np.uint8))
+    _check_dim(s * t)
+    # The product of the block minima is the XOR of (block != 0).  Each outer
+    # product puts one more block in the low bits; all blocks are alike.
+    nonzero = (np.arange(1 << s) != 0).astype(np.uint8)
+    return from_sign_bits(reduce(np.bitwise_xor.outer, [nonzero] * t).ravel())
 
 
 def tribes(w: int, s: int) -> BooleanFunction:
     """OR of s disjoint ANDs of width w, with +1 meaning TRUE."""
     if w < 1 or s < 1:
         raise ValueError("tribes needs w >= 1 and s >= 1")
-    n = w * s
-    _check_dim(n)
-    idx = _index(n)
-    mask = (1 << w) - 1
-    any_true = np.zeros(1 << n, dtype=bool)
-    for p in range(s):
-        any_true |= ((idx >> (p * w)) & mask) == 0  # AND is TRUE iff all +1
-    return from_sign_bits((~any_true).astype(np.uint8))
+    _check_dim(w * s)
+    # f = -1 iff every block is nonzero: the AND of (block != 0), as in minblock.
+    nonzero = (np.arange(1 << w) != 0).astype(np.uint8)
+    return from_sign_bits(reduce(np.multiply.outer, [nonzero] * s).ravel())
 
 
 def first_even_group(s: int, t: int, fallback: str = "t") -> BooleanFunction:
@@ -268,16 +262,14 @@ def first_even_group(s: int, t: int, fallback: str = "t") -> BooleanFunction:
         raise ValueError("first-even-group needs s >= 1 and t >= 1")
     if fallback not in ("t", "n"):
         raise ValueError(f"fallback must be 't' or 'n', got {fallback!r}")
-    n = s * t
-    _check_dim(n)
-    idx = _index(n)
-    p0 = np.zeros(1 << n, dtype=np.int64)
-    for p in range(1, t + 1):
-        block = ((1 << s) - 1) << ((p - 1) * s)
-        even = (np.bitwise_count(idx & block) & 1) == 0
-        p0[even & (p0 == 0)] = p
-    p0[p0 == 0] = t if fallback == "t" else n
-    return from_sign_bits(((p0 & 1) == 1).astype(np.uint8))
+    _check_dim(s * t)
+    even = (np.bitwise_count(np.arange(1 << s)) & 1) == 0
+    # Only p_0 mod 2 is kept.  From block t down to block 1, each block becomes
+    # the new low bits and, where it is even, overrides the label above it.
+    odd = np.array([(t if fallback == "t" else s * t) & 1], dtype=np.uint8)
+    for p in range(t, 0, -1):
+        odd = np.where(even, np.uint8(p & 1), odd[:, None]).ravel()
+    return from_sign_bits(odd)
 
 
 # name -> (builder, required keyword parameters, optional ones); the

@@ -359,10 +359,6 @@ def _verify_theorem(args):
     return None, ("ok" if violations == 0 else "violation"), payload
 
 
-def _limit_blocks(t: int) -> list[float]:
-    return [2.0 ** (2 - p) / 3.0 for p in range(1, t + 1)]
-
-
 def _family_payload(spec: FamilySpec, f: BooleanFunction, targets: set[str], emit_hex: bool):
     report = analyze(f)
     influences = report.influences
@@ -381,7 +377,7 @@ def _family_payload(spec: FamilySpec, f: BooleanFunction, targets: set[str], emi
     if "limits" in targets and name == "first-even-group":
         s = int(spec.params["s"])
         t = int(spec.params["t"])
-        limits = _limit_blocks(t)
+        limits = [2.0 ** (2 - p) / 3.0 for p in range(1, t + 1)]  # limit of I_k in block p
         rows = []
         max_dev = 0.0
         for k in range(1, f.n + 1):

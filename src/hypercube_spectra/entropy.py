@@ -32,10 +32,9 @@ def spectral_entropies(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log2(1 / max_S fhat(S)^2) is never above Ent.
     """
     n = squared.shape[-1].bit_length() - 1
-    weights = squared.astype(np.float64)
-    terms = np.maximum(weights, 1.0)  # c^2 in {0,1} contributes 0 either way
+    terms = np.maximum(squared, 1.0)  # c^2 in {0,1} contributes 0 either way
     np.log2(terms, out=terms)
-    terms *= weights
+    np.multiply(terms, squared, out=terms)
     entropy = 2.0 * n - terms.sum(axis=-1) / 4.0**n
     return entropy, 2.0 * n - np.log2(squared.max(axis=-1))
 

@@ -25,8 +25,8 @@ from .boolfn import BooleanFunction
 from .spectrum import (
     Spectrum,
     _halves,
+    _influence,
     influence_numerators,
-    influences_combinatorial,
     partial_hadamard_inplace,
 )
 
@@ -280,7 +280,7 @@ def log_ratio_functional(f: BooleanFunction, v1, k: int) -> LogRatioReport:
     scale = 2.0 ** (f.n - m)
     value = float((small[pos] * np.log(large[pos] / small[pos])).sum()) / scale
     majorant = float(np.sqrt(small * large).sum()) / scale
-    influence = influences_combinatorial(f).per_coord[k - 1]
+    influence = _influence(f.bits(), k - 1)
     ik = float(influence)
     cap = 0.0 if ik == 0.0 else ik * (1.0 - math.log(ik))
     return LogRatioReport(value=value, majorant=majorant, influence=influence, cap=cap)

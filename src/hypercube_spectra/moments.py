@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _halves, hadamard_inplace, influences_combinatorial, partial_hadamard_inplace
+from .spectrum import _halves, _influence, hadamard_inplace, partial_hadamard_inplace
 
 LN2 = math.log(2.0)
 
@@ -96,7 +96,7 @@ def lemma22_check(f: BooleanFunction, j_set: Iterable[int], k: int):
     _, hit = _halves(work, k - 1)
     total = int((hit**2).sum())  # <= 2^(n+|J|), exact in int64
     lhs = Fraction(total, 2 ** (f.n + len(j)))
-    rhs = influences_combinatorial(f).per_coord[k - 1]
+    rhs = _influence(f.bits(), k - 1)
     return lhs, rhs
 
 
@@ -158,7 +158,8 @@ def chain(
     seq = list(order) if order is not None else list(range(1, f.n + 1))
     if sorted(seq) != list(range(1, f.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{f.n}")
-    per_coord = influences_combinatorial(f).per_coord
+    bits = f.bits()
+    influences = [_influence(bits, coord - 1) for coord in seq]
     work = f.values()
     rows = []  # rows[depth - 1][j]: moment after `depth` coordinates at eps_values[j]
     for depth, coord in enumerate(seq, start=1):
@@ -168,8 +169,8 @@ def chain(
     for j, eps in enumerate(eps_values):
         previous = 1.0
         steps = []
-        for coord, row in zip(seq, rows):
-            floor = step_floor(per_coord[coord - 1], eps)
+        for coord, row, influence in zip(seq, rows, influences):
+            floor = step_floor(influence, eps)
             steps.append(ChainStep(coord, row[j], row[j] - previous, floor))
             previous = row[j]
         telescoped = 1.0 - math.fsum(-s.floor for s in steps)

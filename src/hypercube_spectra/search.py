@@ -128,7 +128,7 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     'nonconstant'.
     """
     n = bits.shape[-1].bit_length() - 1
-    coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
+    coeffs = hadamard_inplace(np.subtract(1, bits << 1, dtype=np.int64))
     squared = coeffs * coeffs
     inf_num = influence_numerators(squared)
     worst = q31_worst(q31_numerators(coeffs), inf_num)

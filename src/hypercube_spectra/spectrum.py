@@ -137,26 +137,37 @@ class InfluenceProfile:
         return sum(self.per_coord, Fraction(0))
 
 
+def _influence(bits: np.ndarray, bit: int) -> Fraction:
+    """I_k for k = bit + 1: the share of the 2^(n-1) edges along k where f changes."""
+    lo, hi = _halves(bits, bit)
+    return Fraction(int(np.count_nonzero(lo != hi)), lo.size)
+
+
 def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:
     """I_k = P(f changes when coordinate k flips), counted on the table."""
     bits = f.bits()
-    out = []
-    for k in range(f.n):
-        lo, hi = _halves(bits, k)
-        out.append(Fraction(int(np.count_nonzero(lo != hi)), 1 << (f.n - 1)))
-    return InfluenceProfile(tuple(out))
+    return InfluenceProfile(tuple(_influence(bits, k) for k in range(f.n)))
 
 
 def influence_numerators(squared: np.ndarray) -> np.ndarray:
     """4^n I_k = sum over S containing k of c_S^2, shape (..., n).
 
     `squared` holds the squared integer coefficients along its last axis;
-    any leading axes are a batch.  Exact in int64: the sum is at most 4^n.
+    any leading axes are a batch.  Viewed as (2^(n-lo), 2^lo) with
+    lo = n // 2, the table is summed once over its rows and once over its
+    columns; bit k-1 of S is a column bit when k <= lo and a row bit
+    otherwise, so each numerator sums half of one short marginal.
     """
+    # Exact in int64: the terms c^2 >= 0 total 4^n <= 2^48, so no partial
+    # sum overflows, and an integer sum does not depend on einsum's order.
     n = squared.shape[-1].bit_length() - 1
+    lo = n // 2
+    table = squared.reshape(*squared.shape[:-1], 1 << (n - lo), 1 << lo)
+    by_low, by_high = np.einsum("...ij->...j", table), np.einsum("...ij->...i", table)
     out = np.empty((*squared.shape[:-1], n), dtype=np.int64)
     for k in range(n):
-        out[..., k] = np.einsum("...ij->...", _halves(squared, k)[1])
+        part, bit = (by_low, k) if k < lo else (by_high, k - lo)
+        out[..., k] = np.einsum("...ij->...", _halves(part, bit)[1])
     return out
 
 

@@ -72,3 +72,36 @@ def parseval_sums(bits: np.ndarray) -> np.ndarray:
     """sum_S c_S^2 per row of a (rows, 2^n) sign-bit matrix; Parseval makes it 4^n."""
     coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
     return (coeffs * coeffs).sum(axis=1)
+
+
+# Index-based builders of the block families: one pass over the whole 2^n
+# input index per block, straight from the definitions.
+
+
+def oracle_tribes(w: int, s: int) -> BooleanFunction:
+    idx = np.arange(1 << (w * s), dtype=np.int64)
+    mask = (1 << w) - 1
+    any_true = np.zeros(len(idx), dtype=bool)
+    for p in range(s):
+        any_true |= ((idx >> (p * w)) & mask) == 0  # AND is TRUE iff all +1
+    return from_sign_bits((~any_true).astype(np.uint8))
+
+
+def oracle_minblock(s: int, t: int) -> BooleanFunction:
+    idx = np.arange(1 << (s * t), dtype=np.int64)
+    mask = (1 << s) - 1
+    acc = np.zeros(len(idx), dtype=np.int64)
+    for p in range(t):
+        acc ^= ((idx >> (p * s)) & mask) != 0  # block min is -1 iff any -1
+    return from_sign_bits(acc.astype(np.uint8))
+
+
+def oracle_first_even_group(s: int, t: int, fallback: str = "t") -> BooleanFunction:
+    idx = np.arange(1 << (s * t), dtype=np.int64)
+    p0 = np.zeros(len(idx), dtype=np.int64)
+    for p in range(1, t + 1):
+        block = ((1 << s) - 1) << ((p - 1) * s)
+        even = (np.bitwise_count(idx & block) & 1) == 0
+        p0[even & (p0 == 0)] = p
+    p0[p0 == 0] = t if fallback == "t" else s * t
+    return from_sign_bits(((p0 & 1) == 1).astype(np.uint8))

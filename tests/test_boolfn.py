@@ -1,9 +1,18 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_influence, brute_restrict, random_function
+from conftest import (
+    brute_influence,
+    brute_restrict,
+    oracle_first_even_group,
+    oracle_minblock,
+    oracle_tribes,
+    random_function,
+)
 from hypercube_spectra import (
     BooleanFunction,
     FamilySpec,
@@ -171,14 +180,18 @@ def test_majority_definitional():
         majority(4)
 
 
+BLOCK_SHAPES = ((2, 3), (1, 1), (1, 5), (5, 1), (3, 2), (1, 4), (4, 1), (2, 2))
+
+
 def test_minblock_definitional():
-    f = minblock(2, 3)
-    for i in range(64):
-        sign = 1
-        for p in range(3):
-            block = (i >> (2 * p)) & 0b11
-            sign *= -1 if block else 1  # min over the block
-        assert f.evaluate(i) == sign
+    for s, t in BLOCK_SHAPES:
+        f = minblock(s, t)
+        for i in range(f.size):
+            sign = 1
+            for p in range(t):
+                block = (i >> (s * p)) & ((1 << s) - 1)
+                sign *= -1 if block else 1  # min over the block
+            assert f.evaluate(i) == sign, (s, t, i)
 
 
 def test_minblock_influences_exact():
@@ -193,26 +206,37 @@ def test_minblock_influences_exact():
 
 
 def test_tribes_definitional():
-    f = tribes(2, 3)
-    for i in range(64):
-        blocks = [(i >> (2 * p)) & 0b11 for p in range(3)]
-        is_true = any(b == 0 for b in blocks)  # some AND of two TRUEs
-        assert f.evaluate(i) == (1 if is_true else -1)
+    for w, s in BLOCK_SHAPES:
+        f = tribes(w, s)
+        for i in range(f.size):
+            blocks = [(i >> (w * p)) & ((1 << w) - 1) for p in range(s)]
+            is_true = any(b == 0 for b in blocks)  # some AND of w TRUEs
+            assert f.evaluate(i) == (1 if is_true else -1), (w, s, i)
 
 
 def test_first_even_group_definitional():
-    for fallback in ("t", "n"):
-        f = first_even_group(2, 3, fallback)
-        for i in range(64):
+    for (s, t), fallback in product(BLOCK_SHAPES, ("t", "n")):
+        f = first_even_group(s, t, fallback)
+        for i in range(f.size):
             p0 = None
-            for p in range(1, 4):
-                block = (i >> (2 * (p - 1))) & 0b11
+            for p in range(1, t + 1):
+                block = (i >> (s * (p - 1))) & ((1 << s) - 1)
                 if bin(block).count("1") % 2 == 0:
                     p0 = p
                     break
             if p0 is None:
-                p0 = 3 if fallback == "t" else 6
-            assert f.evaluate(i) == (-1) ** p0
+                p0 = t if fallback == "t" else s * t
+            assert f.evaluate(i) == (-1) ** p0, (s, t, fallback, i)
+
+
+def test_block_families_match_index_oracles():
+    # the outer-product builders against the index-pass definitions, up to n = 20
+    shapes = [(a, b) for a in range(1, 21) for b in range(1, 21) if a * b <= 12]
+    for a, b in shapes + [(4, 5)]:
+        assert tribes(a, b) == oracle_tribes(a, b), (a, b)
+        assert minblock(a, b) == oracle_minblock(a, b), (a, b)
+    for (a, b), fallback in product(shapes + [(4, 5), (5, 4)], ("t", "n")):
+        assert first_even_group(a, b, fallback) == oracle_first_even_group(a, b, fallback)
 
 
 def test_first_even_group_s1_t2_table():

@@ -246,7 +246,9 @@ def test_log_ratio_matches_direct_enumeration():
         cross = 0.0
         from itertools import product
 
-        from conftest import brute_restrict
+        from conftest import brute_influence, brute_restrict
+
+        assert report.influence == brute_influence(f, k)
 
         for choice in product((1, -1), repeat=len(fixed)):
             g = brute_restrict(f, coords, dict(zip(fixed, choice)))

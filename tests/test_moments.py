@@ -107,10 +107,11 @@ def test_moment_curve_grid_validation():
 
 def test_lemma22_examples():
     lhs, rhs = lemma22_check(parity(2), [1], 1)
-    assert lhs == rhs == 1
+    assert lhs == rhs == 1 == influences_combinatorial(parity(2)).per_coord[0]
     lhs, rhs = lemma22_check(majority(3), [1, 2], 1)
     assert (lhs, rhs) == (rhs, rhs)
     assert rhs == pytest.approx(0.5)
+    assert rhs == influences_combinatorial(majority(3)).per_coord[0]
     lhs, rhs = lemma22_check(BooleanFunction(4, 0), [2, 3], 3)
     assert lhs == rhs == 0
 
@@ -130,6 +131,7 @@ def test_lemma22_exact_equality_random():
         k = int(rng.choice(j_set))
         lhs, rhs = lemma22_check(f, j_set, k)
         assert lhs == rhs  # exact rationals, zero tolerance
+        assert rhs == influences_combinatorial(f).per_coord[k - 1]
 
 
 def test_chain_parity_stays_flat():

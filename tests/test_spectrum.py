@@ -15,7 +15,11 @@ from hypercube_spectra import (
     parity,
     wht,
 )
-from hypercube_spectra.spectrum import hadamard_inplace, partial_hadamard_inplace
+from hypercube_spectra.spectrum import (
+    hadamard_inplace,
+    influence_numerators,
+    partial_hadamard_inplace,
+)
 
 
 def test_wht_dictator():
@@ -138,6 +142,28 @@ def test_influence_defs_agree_random():
         n = int(rng.integers(4, 11))
         f = random_function(rng, n)
         assert influences_combinatorial(f).per_coord == influences_spectral(wht(f)).per_coord
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_influence_numerators_match_per_coordinate_sums(n):
+    # odd n splits the index into unequal halves; row 0 is a constant function
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, size=(5, 1 << n), dtype=np.uint8)
+    bits[0] = 0
+    coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
+    squared = coeffs * coeffs
+    members = np.arange(1 << n)
+    brute = np.stack(
+        [squared[:, (members >> k) & 1 == 1].sum(axis=1) for k in range(n)], axis=1
+    )
+    assert np.array_equal(influence_numerators(squared), brute)
+    assert np.array_equal(influence_numerators(squared[2]), brute[2])  # an unbatched row
+    assert brute[0].tolist() == [0] * n
+
+
+def test_influence_numerators_at_the_n24_ceiling():
+    # parity(24) puts all 4^24 of its weight on S = [24], which holds every k
+    assert influence_numerators(wht(parity(24)).squared()).tolist() == [4**24] * 24
 
 
 def test_weighted_degree_sum_identity():
