@@ -22,17 +22,20 @@ LN4 = math.log(4.0)
 DEFAULT_DELTAS = (0.5, 0.25, 0.1, 0.01)
 
 
-def spectral_entropies(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spectral_entropies(
+    squared: np.ndarray, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(Ent(f), min-entropy) in bits from squared integer coefficients.
 
-    The last axis holds c_S^2 = 4^n fhat(S)^2; leading axes are a batch.
-    Ent is 2n - sum(c^2 log2 c^2) / 4^n, and every c^2 is exact in a
-    double (c^2 <= 2^48), so the only rounding is in log2 and the sum.
-    The log is taken in place on the one float copy.  The min-entropy
-    log2(1 / max_S fhat(S)^2) is never above Ent.
+    The last axis holds c_S^2 = 4^n fhat(S)^2, as int64 or float64;
+    leading axes are a batch.  Ent is 2n - sum(c^2 log2 c^2) / 4^n, and
+    every c^2 is exact in a double (c^2 <= 2^48), so the only rounding is
+    in log2 and the sum.  The log is taken in place on one float copy,
+    written into `scratch` (a float64 array of squared's shape) if given.
+    The min-entropy log2(1 / max_S fhat(S)^2) is never above Ent.
     """
     n = squared.shape[-1].bit_length() - 1
-    terms = np.maximum(squared, 1.0)  # c^2 in {0,1} contributes 0 either way
+    terms = np.maximum(squared, 1.0, out=scratch)  # c^2 in {0,1} contributes 0 either way
     np.log2(terms, out=terms)
     np.multiply(terms, squared, out=terms)
     entropy = 2.0 * n - terms.sum(axis=-1) / 4.0**n

@@ -193,18 +193,18 @@ class Q31Report:
         }
 
 
-def q31_numerators(coeffs: np.ndarray) -> np.ndarray:
+def q31_numerators(magnitude: np.ndarray) -> np.ndarray:
     """4^n N_k = sum_{S not cont. k} |c_S c_{S+k}|, shape (..., n).
 
-    `coeffs` holds integer coefficients along its last axis; any leading
-    axes are a batch.  int64 is exact for every n <= 24.  By AM-GM,
-    |c_S c_{S+k}| <= (c_S^2 + c_{S+k}^2) / 2, and each S appears in one
-    pair only, so every partial sum is at most sum_S c_S^2 / 2 = 2^(2n-1)
-    <= 2^47 (Parseval).
+    `magnitude` holds the integer |c_S| along its last axis, as int64 or
+    float64; any leading axes are a batch.  Both are exact for every
+    n <= 24.  By AM-GM, |c_S c_{S+k}| <= (c_S^2 + c_{S+k}^2) / 2, and each
+    S appears in one pair only, so every partial sum is an integer of at
+    most sum_S c_S^2 / 2 = 2^(2n-1) <= 2^47 (Parseval), below both int64's
+    and float64's exact range (2^53), whatever the summation order.
     """
-    n = coeffs.shape[-1].bit_length() - 1
-    magnitude = np.abs(coeffs)
-    out = np.empty((*coeffs.shape[:-1], n), dtype=np.int64)
+    n = magnitude.shape[-1].bit_length() - 1
+    out = np.empty((*magnitude.shape[:-1], n), dtype=np.int64)
     for k in range(n):
         out[..., k] = np.einsum("...ij,...ij->...", *_halves(magnitude, k))
     return out
@@ -223,7 +223,7 @@ def q31_worst(q31_num: np.ndarray, influence_num: np.ndarray) -> np.ndarray:
 def q31_report(spectrum: Spectrum) -> Q31Report:
     """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k."""
     scale = 4**spectrum.n
-    numerators = q31_numerators(spectrum.coeffs)
+    numerators = q31_numerators(np.abs(spectrum.coeffs))
     influences = influence_numerators(spectrum.squared())
     per = []
     for k, (num, inf) in enumerate(zip(numerators.tolist(), influences.tolist()), start=1):

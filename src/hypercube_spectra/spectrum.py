@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -25,20 +26,28 @@ def _halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     return v[..., 0, :], v[..., 1, :]
 
 
+@cache
 def _sylvester(d: int) -> np.ndarray:
-    """The 2^d x 2^d Hadamard matrix H[s, t] = (-1)^|s & t|, as float64."""
+    """The 2^d x 2^d Hadamard matrix H[s, t] = (-1)^|s & t|, as float64.
+
+    Built once per d and read-only: every row group of a sweep reuses it.
+    """
     i = np.arange(1 << d)
-    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h.setflags(write=False)
+    return h
 
 
-def hadamard_inplace(values: np.ndarray) -> np.ndarray:
+def hadamard_inplace(values: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along the last axis, in place.
 
     The last axis length must be a power of two 2^n, and every entry must
-    satisfy |entry| * 2^n < 2^53 (the +-1 tables of the package give
-    2^n <= 2^24).  Works batched: any leading axes are carried along
-    untouched.  `values` is int64; the coefficients are written into it
-    and it is returned.
+    be an integer with |entry| * 2^n < 2^53 (the +-1 tables of the package
+    give 2^n <= 2^24).  Works batched: any leading axes are carried along
+    untouched.  `values` is int64 or float64; the coefficients are written
+    into it and it is returned.  `scratch`, a float64 array of as many
+    entries, is the second stage buffer; a C-contiguous float64 `values`
+    with a scratch is transformed without allocating a table-sized array.
 
     The n index bits are split into ceil(n/6) balanced stages of d <= 6
     bits.  One stage is one matrix product H_d @ x^T per row: it
@@ -57,20 +66,23 @@ def hadamard_inplace(values: np.ndarray) -> np.ndarray:
     size = values.shape[-1]
     n = size.bit_length() - 1
     stages = -(-n // 6)
-    src = values.astype(np.float64, order="C").reshape(-1, size)
-    dst = np.empty_like(src)
-    rows = src.shape[0]
+    inplace = values.dtype == np.float64 and values.flags.c_contiguous
+    table = (values if inplace else values.astype(np.float64, order="C")).reshape(-1, size)
+    src = table
+    dst = np.empty_like(table) if scratch is None else scratch.reshape(table.shape)
+    rows = table.shape[0]
     for s in range(stages):
         d = n * (s + 1) // stages - n * s // stages
         block = 1 << d
         if block == size:
             # One stage spans the whole row and rotates nothing.  H_d is
             # symmetric, so a group of rows is the one product X @ H_d,
-            # not one tiny product per row.  A group holds at most 2^12
+            # not one tiny product per row.  A product holds at most 2^12
             # entries, as one row's product does at n = 12, so BLAS runs
-            # it on the calling thread: a product over a whole 4096-row
-            # search chunk is split over threads and then waits for a
-            # second CPU, which on a loaded host makes its time spread.
+            # it on the calling thread: a product over a whole search row
+            # group (2^15 entries) would be split over threads and then
+            # wait for a second CPU, which on a loaded host makes its time
+            # spread.
             group = min(rows & -rows, 4096 >> d)
             np.matmul(src.reshape(-1, group, block), _sylvester(d),
                       out=dst.reshape(-1, group, block))
@@ -81,7 +93,8 @@ def hadamard_inplace(values: np.ndarray) -> np.ndarray:
                 out=dst.reshape(rows, block, -1),
             )
         src, dst = dst, src
-    values[...] = src.reshape(values.shape)
+    if not (inplace and src is table):
+        values[...] = src.reshape(values.shape)
     return values
 
 
@@ -152,14 +165,16 @@ def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:
 def influence_numerators(squared: np.ndarray) -> np.ndarray:
     """4^n I_k = sum over S containing k of c_S^2, shape (..., n).
 
-    `squared` holds the squared integer coefficients along its last axis;
-    any leading axes are a batch.  Viewed as (2^(n-lo), 2^lo) with
-    lo = n // 2, the table is summed once over its rows and once over its
-    columns; bit k-1 of S is a column bit when k <= lo and a row bit
-    otherwise, so each numerator sums half of one short marginal.
+    `squared` holds the squared integer coefficients along its last axis,
+    as int64 or float64; any leading axes are a batch.  Viewed as
+    (2^(n-lo), 2^lo) with lo = n // 2, the table is summed once over its
+    rows and once over its columns; bit k-1 of S is a column bit when
+    k <= lo and a row bit otherwise, so each numerator sums half of one
+    short marginal.
     """
-    # Exact in int64: the terms c^2 >= 0 total 4^n <= 2^48, so no partial
-    # sum overflows, and an integer sum does not depend on einsum's order.
+    # Exact in int64 and in float64: the terms c^2 >= 0 are integers that
+    # total 4^n <= 2^48 < 2^53, so every partial sum is an integer that
+    # both hold exactly, and the sums do not depend on einsum's order.
     n = squared.shape[-1].bit_length() - 1
     lo = n // 2
     table = squared.reshape(*squared.shape[:-1], 1 << (n - lo), 1 << lo)

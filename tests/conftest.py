@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 
 from hypercube_spectra import BooleanFunction, Spectrum, from_sign_bits
+from hypercube_spectra.search import chunk_stats
 from hypercube_spectra.spectrum import hadamard_inplace
 
 
@@ -66,6 +67,13 @@ def weighted_degree_sum(spectrum: Spectrum) -> int:
     """sum_S |S| coeffs[S]^2, which equals 4^n times the total influence."""
     sizes = np.bitwise_count(np.arange(1 << spectrum.n, dtype=np.int64))
     return int((sizes * spectrum.squared()).sum())
+
+
+def chunk_columns(job, chunk: int) -> tuple[np.ndarray, dict]:
+    """One chunk's sign bits and batch_stats columns, its row groups joined in order."""
+    groups = list(chunk_stats(job, chunk))
+    bits = np.concatenate([b for b, _ in groups])
+    return bits, {key: np.concatenate([s[key] for _, s in groups]) for key in groups[0][1]}
 
 
 def parseval_sums(bits: np.ndarray) -> np.ndarray:

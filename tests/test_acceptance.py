@@ -36,7 +36,6 @@ from hypercube_spectra.moments import (
 )
 from hypercube_spectra.search import (
     SearchJob,
-    chunk_stats,
     metric_value,
     run,
     resume,
@@ -47,7 +46,7 @@ from hypercube_spectra.spectrum import (
     wht,
 )
 
-from conftest import parseval_sums, random_function, weighted_degree_sum
+from conftest import chunk_columns, parseval_sums, random_function, weighted_degree_sum
 
 EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
 
@@ -64,7 +63,7 @@ def exhaustive_chunks():
     out = {}
     for n in range(1, 5):
         job = SearchJob(n=n, mode="exhaustive", chunk_size=1 << (1 << n))
-        out[n] = chunk_stats(job, 0)
+        out[n] = chunk_columns(job, 0)
     return out
 
 
@@ -72,7 +71,7 @@ def exhaustive_chunks():
 def sampled_chunk():
     """(sign bits, batch_stats) for 10^4 seeded random functions at n = 8."""
     job = SearchJob(n=8, mode="sample", count=10_000, seed=7, chunk_size=10_000)
-    return chunk_stats(job, 0)
+    return chunk_columns(job, 0)
 
 
 @pytest.fixture(scope="session")

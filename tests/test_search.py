@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from hypercube_spectra import (
     run_search,
     wht,
 )
-from hypercube_spectra import search
-from hypercube_spectra.search import METRICS
+from hypercube_spectra import cli, search
+from hypercube_spectra.search import METRICS, batch_stats
+
+from conftest import chunk_columns
 
 
 def test_job_validation():
@@ -179,13 +183,18 @@ def test_sample_mode_ignores_chunk_partitioning():
         # two packed bytes per row: the high byte must decide
         SearchJob(n=4, mode="sample", count=3000, seed=2, chunk_size=1000),
         SearchJob(n=4, mode="exhaustive"),
+        # chunks of several row groups, tables in random order: a later
+        # group can hold a smaller tied table than the first one that ties
+        pytest.param(SearchJob(n=4, mode="sample", count=6000, seed=2, chunk_size=5000),
+                     id="sample-n4-groups"),
     ],
     ids=lambda job: f"{job.mode}-n{job.n}",
 )
 def test_chunk_witness_is_smallest_tied_table(job):
-    ties = 0
+    group_rows = max(1, search._GROUP_ENTRIES >> job.n)
+    ties = across = later = 0
     for chunk in range(job.total_chunks):
-        bits, stats = search.chunk_stats(job, chunk)
+        bits, stats = chunk_columns(job, chunk)
         keep = stats["nonconstant"]
         columns = search.metric_columns(stats) if keep.any() else {}
         expected = {}
@@ -195,5 +204,105 @@ def test_chunk_witness_is_smallest_tied_table(job):
             ties += len(tied) - 1
             tables = [from_sign_bits(bits[i]).table for i in tied]
             expected[metric] = (float(vals[tied[0]]), min(tables))
+            groups = tied // group_rows
+            across += len(set(groups.tolist())) > 1
+            later += groups[int(np.argmin(tables))] > groups[0]
         assert search._chunk_best(job, chunk) == expected
     assert ties > 0  # the reference compared real ties, not single rows
+    if job.chunk_size > group_rows:
+        assert across > 0  # and ties that the group fold had to merge
+    if job.mode == "sample" and job.chunk_size > group_rows:
+        assert later > 0  # where the first tied group did not hold the witness
+
+
+@pytest.mark.parametrize(
+    "job, chunk, sizes",
+    [
+        pytest.param(SearchJob(n=1, mode="exhaustive"), 0, [4], id="n1-exhaustive"),
+        pytest.param(SearchJob(n=1, mode="sample", count=20000, seed=3, chunk_size=20000), 0,
+                     [16384, 3616], id="n1-sample"),
+        pytest.param(SearchJob(n=4, mode="exhaustive", chunk_size=3000), 0, [2048, 952],
+                     id="n4-first"),
+        pytest.param(SearchJob(n=4, mode="exhaustive", chunk_size=3000), 21, [2048, 488],
+                     id="n4-last"),
+        pytest.param(SearchJob(n=8, mode="sample", count=300, seed=5), 0, [128, 128, 44],
+                     id="n8"),
+        pytest.param(SearchJob(n=10, mode="sample", count=4100, seed=5), 0, [32] * 128,
+                     id="n10-full"),
+        pytest.param(SearchJob(n=10, mode="sample", count=4100, seed=5), 1, [4],
+                     id="n10-short"),
+        pytest.param(SearchJob(n=12, mode="sample", count=300, seed=5), 0, [8] * 37 + [4],
+                     id="n12"),
+    ],
+)
+def test_grouped_chunk_equals_one_whole_chunk_call(job, chunk, sizes):
+    groups = list(search.chunk_stats(job, chunk))
+    assert [len(bits) for bits, _ in groups] == sizes
+    start = chunk * job.chunk_size
+    stop = start + sum(sizes)
+    if job.mode == "exhaustive":
+        bits = search._exhaustive_bits(job.n, start, stop)
+    else:
+        bits = search._sample_bits(job.n, job.seed, start, stop)
+    whole = batch_stats(bits)
+    assert np.array_equal(np.concatenate([b for b, _ in groups]), bits)
+    for key, column in whole.items():
+        joined = np.concatenate([stats[key] for _, stats in groups])
+        assert joined.dtype == column.dtype, key
+        assert np.array_equal(joined, column), key
+    if job.n <= 4:
+        assert not whole["nonconstant"].all()  # constant rows went through the groups too
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["search", "--mode", "exhaustive", "--n", "4", "--workers", "1"],
+                     id="search-n4"),
+        pytest.param(["verify", "theorem", "--max-n", "4"], id="theorem-n4"),
+        pytest.param(["search", "--mode", "sample", "--n", "12", "--count", "100", "--seed", "3",
+                      "--workers", "1"], id="search-n12"),
+        pytest.param(["verify", "theorem", "--random", "100", "--n", "12", "--seed", "3"],
+                     id="theorem-n12"),
+        # a row longer than a group is a group of its own
+        pytest.param(["search", "--mode", "sample", "--n", "16", "--count", "3", "--seed", "3",
+                      "--workers", "1"], id="search-n16"),
+    ],
+)
+def test_batch_stats_never_sees_more_than_one_group(monkeypatch, capsys, argv):
+    shapes = []
+
+    def spy(bits, *rest):
+        shapes.append(bits.shape)
+        return batch_stats(bits, *rest)
+
+    monkeypatch.setattr(search, "batch_stats", spy)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    size = shapes[0][1]
+    limit = max(search._GROUP_ENTRIES, size)
+    assert all(rows * cols <= limit for rows, cols in shapes)
+    assert max(rows * cols for rows, cols in shapes) == limit  # full groups, not single rows
+
+
+# Run in a child of a fresh interpreter, so that ru_maxrss of the children
+# is the peak of the sweep alone, not of this test process or its pools.
+_PEAK_PROBE = """
+import resource, subprocess, sys
+done = subprocess.run(sys.argv[1:], capture_output=True, timeout=300)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(done.returncode, len(done.stdout.splitlines()), peak_mb)
+"""
+
+
+def test_sampled_n16_sweep_runs_in_bounded_memory():
+    # A whole 512-row chunk at n = 16 held 838 MB at its peak; row groups
+    # keep the working set to one row's arrays plus the interpreter.
+    argv = [sys.executable, "-m", "hypercube_spectra.cli", "search", "--mode", "sample",
+            "--n", "16", "--count", "512", "--seed", "1", "--workers", "1"]
+    probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv],
+                           capture_output=True, text=True, timeout=330)
+    assert probe.returncode == 0, probe.stderr
+    code, lines, peak_mb = probe.stdout.split()
+    assert (int(code), int(lines)) == (0, len(METRICS))
+    assert float(peak_mb) < 200.0

@@ -63,6 +63,11 @@ def test_batched_transform_matches_butterflies(n):
         got = hadamard_inplace(rows.copy())
         assert got.dtype == np.int64
         assert (got == expected).all()
+        # a float64 table with a scratch buffer is transformed in place,
+        # whether the last stage ends in the table or in the scratch
+        table = rows.astype(np.float64)
+        assert hadamard_inplace(table, np.empty_like(table)) is table
+        assert (table == expected).all()
 
 
 def test_transform_is_exact_at_the_n24_ceiling():
@@ -180,26 +185,27 @@ def test_batch_stats_matches_single_function_paths():
     from hypercube_spectra import analyze, q31_report
 
     rng = np.random.default_rng(8)
-    fns = [random_function(rng, 5) for _ in range(40)]
-    bits = np.stack([f.bits() for f in fns])
-    stats = batch_stats(bits)
-    for i, f in enumerate(fns):
-        s = wht(f)
-        report = analyze(f)
-        # one kernel serves both: a batch row equals the single-function report
-        assert stats["entropy"][i] == report.entropy_bits
-        assert stats["min_entropy"][i] == report.min_entropy_bits
-        assert stats["term_sum"][i] == report.term_sum_bits
-        assert stats["bound"][i] == report.bound_bits
-        assert stats["bound_drop_one"][i] == report.bound_drop_one_bits
-        assert stats["jensen_cap"][i] == report.jensen_cap_bits
-        assert stats["influence_total"][i] == float(influences_combinatorial(f).total)
-        assert stats["influence_num"][i].tolist() == [
-            ik * 4**5 for ik in influences_combinatorial(f).per_coord
-        ]
-        # both sides are correctly rounded quotients of the same integers
-        assert stats["q31_worst"][i] == float(q31_report(s).worst)
-    assert parseval_sums(bits).tolist() == [4**5] * len(fns)
+    for n, count in ((5, 40), (9, 12), (12, 4)):  # one, two unequal and two equal stages
+        fns = [random_function(rng, n) for _ in range(count)]
+        bits = np.stack([f.bits() for f in fns])
+        stats = batch_stats(bits)
+        for i, f in enumerate(fns):
+            s = wht(f)
+            report = analyze(f)
+            # one kernel serves both: a batch row equals the single-function report
+            assert stats["entropy"][i] == report.entropy_bits
+            assert stats["min_entropy"][i] == report.min_entropy_bits
+            assert stats["term_sum"][i] == report.term_sum_bits
+            assert stats["bound"][i] == report.bound_bits
+            assert stats["bound_drop_one"][i] == report.bound_drop_one_bits
+            assert stats["jensen_cap"][i] == report.jensen_cap_bits
+            assert stats["influence_total"][i] == float(influences_combinatorial(f).total)
+            assert stats["influence_num"][i].tolist() == [
+                ik * 4**n for ik in influences_combinatorial(f).per_coord
+            ]
+            # both sides are correctly rounded quotients of the same integers
+            assert stats["q31_worst"][i] == float(q31_report(s).worst)
+        assert parseval_sums(bits).tolist() == [4**n] * len(fns)
 
 
 def test_batch_stats_invariant_under_relabelling():
