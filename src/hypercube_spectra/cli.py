@@ -218,6 +218,8 @@ def _verify_scalar(kind: str, args):
             raise ValueError(f"--random must be positive, got {args.random}")
         if args.seed is None:
             raise ValueError("--random needs --seed")
+    elif args.seed is not None:
+        raise ValueError("--seed needs --random; drop --seed")
     grid = ScalarGridSpec(args.grid, _parse_eps_values(args.eps))
     result = sweep_gap(kind, grid)
     payload = {"grid": result.as_dict(), "tolerance": 1e-12}

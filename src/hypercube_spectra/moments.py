@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _halves, _influence, hadamard_inplace, partial_hadamard_inplace
+from .spectrum import _halves, _influence, partial_hadamard_inplace, sign_spectrum
 
 LN2 = math.log(2.0)
 
@@ -186,7 +186,7 @@ def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float
     """
     if not 0.0 < h <= 1e-3:
         raise ValueError(f"step h must lie in (0, 1e-3], got {h}")
-    work = hadamard_inplace(f.values())
+    work = sign_spectrum(f.bits())
     m_h, m_half = _power_sums(work, f.n, f.n, (h, h / 2.0))
     d_h = (m_h - 1.0) / h
     d_half = (m_half - 1.0) / (h / 2.0)

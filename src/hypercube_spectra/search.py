@@ -28,7 +28,7 @@ import numpy as np
 from .boolfn import MAX_N, BooleanFunction
 from .entropy import AnalysisReport, analyze, influence_floats, spectral_entropies
 from .inequality import q31_numerators, q31_worst
-from .spectrum import hadamard_inplace, influence_numerators
+from .spectrum import influence_numerators, sign_spectrum
 
 METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen_slack")
 
@@ -138,8 +138,7 @@ def batch_stats(bits: np.ndarray, scratch: np.ndarray | None = None) -> dict[str
     if scratch is None:
         scratch = np.empty(2 * bits.size)
     coeffs, spare = scratch.reshape(2, *bits.shape)
-    np.subtract(1.0, bits << 1, out=coeffs)
-    hadamard_inplace(coeffs, spare)
+    sign_spectrum(bits, coeffs, spare.view(np.float32))
     squared = np.multiply(coeffs, coeffs, out=spare)
     inf_num = influence_numerators(squared)
     worst = q31_worst(q31_numerators(np.abs(coeffs, out=coeffs)), inf_num)
@@ -331,11 +330,13 @@ def _sweep(
     if max_chunks is not None:
         stop = max(first_chunk, min(stop, first_chunk + max_chunks))
     every = job.checkpoint_every or job.total_chunks
-    pooled = workers > 1 and stop - first_chunk > 1
-    with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
+    # The executor forks every worker it is given at its first submit, so
+    # it gets no more than there are chunks to run or CPUs to run them.
+    workers = min(workers, stop - first_chunk, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(first_chunk, stop, every) or (first_chunk,):
             batch = range(start, min(start + every, stop))
-            for result in (pool.map if pooled else map)(_chunk_best, repeat(job), batch):
+            for result in (pool.map if pool else map)(_chunk_best, repeat(job), batch):
                 for metric, cand in result.items():
                     _keep_better(best, metric, cand)
             if checkpoint_path:

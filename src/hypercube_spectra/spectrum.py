@@ -4,7 +4,8 @@ All coefficients are kept as unnormalised integers: coeffs[S] is
 sum_x f(x) X_S(x) = 2^n fhat(S), where the character index S is read as a
 bit mask over coordinates (bit k-1 set means k in S).  For n <= 24 every
 quantity in sight fits comfortably in int64: |coeffs| <= 2^n, squares sum
-to exactly 4^n <= 2^48.
+to exactly 4^n <= 2^48.  Full spectra come from sign bits through one
+float32 kernel, sign_spectrum; the butterflies do partial transforms.
 """
 from __future__ import annotations
 
@@ -28,49 +29,43 @@ def _halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
 
 @cache
 def _sylvester(d: int) -> np.ndarray:
-    """The 2^d x 2^d Hadamard matrix H[s, t] = (-1)^|s & t|, as float64.
+    """The 2^d x 2^d Hadamard matrix H[s, t] = (-1)^|s & t|, as float32.
 
     Built once per d and read-only: every row group of a sweep reuses it.
     """
     i = np.arange(1 << d)
-    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h = (1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)).astype(np.float32)
     h.setflags(write=False)
     return h
 
 
-def hadamard_inplace(values: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform along the last axis, in place.
+def sign_spectrum(
+    bits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Integer Walsh-Hadamard coefficients of uint8 sign-bit tables (..., 2^n).
 
-    The last axis length must be a power of two 2^n, and every entry must
-    be an integer with |entry| * 2^n < 2^53 (the +-1 tables of the package
-    give 2^n <= 2^24).  Works batched: any leading axes are carried along
-    untouched.  `values` is int64 or float64; the coefficients are written
-    into it and it is returned.  `scratch`, a float64 array of as many
-    entries, is the second stage buffer; a C-contiguous float64 `values`
-    with a scratch is transformed without allocating a table-sized array.
-
-    The n index bits are split into ceil(n/6) balanced stages of d <= 6
-    bits.  One stage is one matrix product H_d @ x^T per row: it
-    transforms the low d bits and rotates them to the top, so after every
-    bit has been through one stage the index order is back where it began.
-    A single stage (n <= 6) is x @ H_d over groups of rows.
+    1 marks f(x) = -1, n <= 24, and leading axes are a batch.  The result
+    goes into `out` (float64, bits' shape) or a new int64 array; `scratch`
+    (float32, 2 * bits.size entries) holds the two stage buffers.  The n
+    index bits run through ceil(n/6) balanced stages of d <= 6 bits: one
+    product H_d @ x^T per row transforms the low d bits and rotates them to
+    the top, so the last stage restores the index order.  A single stage
+    (n <= 6) is x @ H_d over groups of rows.
     """
-    # Exact in float64.  After j bits have been transformed, each entry is
-    # a signed sum of 2^j inputs, so |x| <= m 2^j with m the largest input.
-    # A stage over the next d bits forms sums of 2^d terms +-x; the products
-    # with +-1 are exact, and every partial sum, in whatever order,
-    # blocking, FMA use or thread count BLAS picks, is an integer of
-    # magnitude <= 2^d m 2^j <= m 2^n < 2^53, which float64 holds exactly.
-    # So each stage returns the same integers as the butterflies do, on
-    # every host, and the cast back to int64 is exact.
-    size = values.shape[-1]
+    # Exact in float32.  After j transformed bits each entry of the +-1
+    # table is a sum of 2^j terms +-1, so |x| <= 2^j.  A stage over d more
+    # bits adds 2^d terms +-x: the products are exact, and every partial
+    # sum, in whatever order, blocking, FMA use or thread count BLAS picks,
+    # is an integer of magnitude <= 2^(j+d) <= 2^n <= 2^24, which float32's
+    # 24-bit significand holds.  So every host gets the butterflies' integers.
+    size = bits.shape[-1]
     n = size.bit_length() - 1
     stages = -(-n // 6)
-    inplace = values.dtype == np.float64 and values.flags.c_contiguous
-    table = (values if inplace else values.astype(np.float64, order="C")).reshape(-1, size)
-    src = table
-    dst = np.empty_like(table) if scratch is None else scratch.reshape(table.shape)
-    rows = table.shape[0]
+    if scratch is None:
+        scratch = np.empty(2 * bits.size, dtype=np.float32)
+    src, dst = scratch.reshape(2, -1, size)
+    rows = src.shape[0]
+    np.subtract(np.float32(1), bits.reshape(rows, size) << 1, out=src)
     for s in range(stages):
         d = n * (s + 1) // stages - n * s // stages
         block = 1 << d
@@ -93,9 +88,10 @@ def hadamard_inplace(values: np.ndarray, scratch: np.ndarray | None = None) -> n
                 out=dst.reshape(rows, block, -1),
             )
         src, dst = dst, src
-    if not (inplace and src is table):
-        values[...] = src.reshape(values.shape)
-    return values
+    if out is None:
+        out = np.empty(bits.shape, dtype=np.int64)
+    out[...] = src.reshape(bits.shape)
+    return out
 
 
 def partial_hadamard_inplace(values: np.ndarray, bit_positions) -> np.ndarray:
@@ -136,7 +132,7 @@ class Spectrum:
 
 def wht(f: BooleanFunction) -> Spectrum:
     """Exact integer spectrum of f."""
-    return Spectrum(f.n, hadamard_inplace(f.values()))
+    return Spectrum(f.n, sign_spectrum(f.bits()))
 
 
 @dataclass(frozen=True)

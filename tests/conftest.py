@@ -6,7 +6,7 @@ import numpy as np
 
 from hypercube_spectra import BooleanFunction, Spectrum, from_sign_bits
 from hypercube_spectra.search import chunk_stats
-from hypercube_spectra.spectrum import hadamard_inplace
+from hypercube_spectra.spectrum import partial_hadamard_inplace
 
 
 def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
@@ -76,9 +76,18 @@ def chunk_columns(job, chunk: int) -> tuple[np.ndarray, dict]:
     return bits, {key: np.concatenate([s[key] for _, s in groups]) for key in groups[0][1]}
 
 
+def butterfly_spectrum(bits: np.ndarray) -> np.ndarray:
+    """Integer coefficients of sign-bit tables (..., 2^n) by n butterfly passes.
+
+    The reference for the fast kernel: int64 +-1 values, no float, no BLAS.
+    """
+    n = bits.shape[-1].bit_length() - 1
+    return partial_hadamard_inplace(1 - 2 * bits.astype(np.int64), range(n))
+
+
 def parseval_sums(bits: np.ndarray) -> np.ndarray:
     """sum_S c_S^2 per row of a (rows, 2^n) sign-bit matrix; Parseval makes it 4^n."""
-    coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
+    coeffs = butterfly_spectrum(bits)
     return (coeffs * coeffs).sum(axis=1)
 
 

@@ -197,6 +197,12 @@ def test_verify_theorem_refuses_other_mode_flags(capsys):
     assert json.loads(out)["payload"]["max_n"] == 4
 
 
+def test_verify_scalar_refuses_seed_without_random(capsys):
+    for kind in ("lemma24", "eq27"):
+        code, out, _ = run_cli(capsys, "verify", kind, "--grid", "5", "--seed", "3")
+        _assert_error_envelope(code, out, "--seed needs --random; drop --seed")
+
+
 def test_verify_scalar_random_must_be_positive(capsys):
     for kind in ("lemma24", "eq27"):
         for count in ("0", "-2"):

@@ -97,6 +97,40 @@ def test_worker_count_invariance_exhaustive():
     assert run_search(job, workers=1) == run_search(job, workers=2)
 
 
+def test_pool_never_outgrows_chunks_or_cpus(monkeypatch):
+    # A stand-in executor records its size and maps in this process: a real
+    # one would fork every worker it is given at its first submit.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    job = SearchJob(n=2, mode="exhaustive", chunk_size=4)  # 4 chunks
+    serial = run_search(job, workers=1)
+    for workers, cpus, max_chunks, size in (
+        (100_000, 8, None, 4),  # the chunks bound it
+        (100_000, 2, None, 2),  # the CPUs bound it
+        (3, 8, None, 3),  # the request bounds it
+        (100_000, 8, 1, None),  # one chunk to run: serial
+        (100_000, None, None, None),  # CPU count unknown: serial
+    ):
+        sizes.clear()
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        result = run_search(job, workers=workers, max_chunks=max_chunks)
+        assert sizes == ([] if size is None else [size])
+        assert result == (None if max_chunks else serial)
+
+
 def test_checkpoint_interrupt_resume_equals_straight_run(tmp_path):
     job = SearchJob(n=3, mode="exhaustive", chunk_size=16, checkpoint_every=2)
     path = str(tmp_path / "ckpt.json")

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_spectrum, parseval_sums, random_function, weighted_degree_sum
+from conftest import (
+    brute_spectrum,
+    butterfly_spectrum,
+    parseval_sums,
+    random_function,
+    weighted_degree_sum,
+)
 from hypercube_spectra import (
     BooleanFunction,
     and_function,
@@ -16,9 +22,9 @@ from hypercube_spectra import (
     wht,
 )
 from hypercube_spectra.spectrum import (
-    hadamard_inplace,
     influence_numerators,
     partial_hadamard_inplace,
+    sign_spectrum,
 )
 
 
@@ -58,37 +64,40 @@ def test_batched_transform_matches_butterflies(n):
     # split into two stages, unequal for odd n
     rng = np.random.default_rng(100 + n)
     for count in (5, 96, 4096 if n <= 6 else 7):
-        rows = 1 - 2 * rng.integers(0, 2, size=(count, 1 << n), dtype=np.int64)
-        expected = partial_hadamard_inplace(rows.copy(), range(n))
-        got = hadamard_inplace(rows.copy())
+        bits = rng.integers(0, 2, size=(count, 1 << n), dtype=np.uint8)
+        expected = butterfly_spectrum(bits)
+        got = sign_spectrum(bits)
         assert got.dtype == np.int64
         assert (got == expected).all()
-        # a float64 table with a scratch buffer is transformed in place,
-        # whether the last stage ends in the table or in the scratch
-        table = rows.astype(np.float64)
-        assert hadamard_inplace(table, np.empty_like(table)) is table
-        assert (table == expected).all()
+        # into a caller's float64 buffer, with the float32 stage pair in a
+        # caller's scratch, as batch_stats calls it
+        out = np.empty(bits.shape)
+        assert sign_spectrum(bits, out, np.empty(2 * bits.size, dtype=np.float32)) is out
+        assert (out == expected).all()
+
+
+@pytest.mark.parametrize("n", (20, 22, 24))
+def test_single_table_transform_matches_butterflies(n):
+    # four stages each: of 5 bits at n = 20, of 5 and 6 bits at n = 22,
+    # of 6 bits at n = 24
+    f = random_function(np.random.default_rng(n), n)
+    assert (wht(f).coeffs == butterfly_spectrum(f.bits())).all()
 
 
 def test_transform_is_exact_at_the_n24_ceiling():
-    # |c_S| reaches 2^24, the top of the float64 exactness argument
+    # |c_S| reaches 2^24, the top of the float32 exactness argument
     for f, top in ((BooleanFunction(24, 0), 0), (parity(24), (1 << 24) - 1)):
         coeffs = wht(f).coeffs
         assert coeffs.dtype == np.int64
         assert abs(int(coeffs[top])) == 1 << 24
         assert np.count_nonzero(coeffs) == 1
-    # the docstring's precondition near its edge: |entry| 2^n up to 2^52
-    rows = np.random.default_rng(24).integers(-(1 << 42), 1 << 42, size=(3, 1 << 10))
-    expected = partial_hadamard_inplace(rows.copy(), range(10))
-    assert (hadamard_inplace(rows) == expected).all()
-
-
-def test_transform_returns_its_input():
-    single = BooleanFunction(3, 0x96).values()
-    assert hadamard_inplace(single) is single
-    batch = np.ones((4, 1 << 7), dtype=np.int64)
-    assert hadamard_inplace(batch) is batch
-    assert (batch[:, 0] == 1 << 7).all() and not batch[:, 1:].any()
+    # the one-point function (-1 at x = 0 only) and its negation:
+    # c_empty = +-(2^24 - 2) lies in float32's top binade, where adjacent
+    # floats are 1 apart, and c_S = -+2 for every other S
+    for f, sign in ((BooleanFunction(24, 1), 1), (BooleanFunction(24, 1).negate(), -1)):
+        coeffs = wht(f).coeffs
+        assert coeffs[0] == sign * ((1 << 24) - 2)
+        assert (coeffs[1:] == -2 * sign).all()
 
 
 def test_parseval_all_n3_tables():
@@ -102,13 +111,6 @@ def test_parseval_random(n, seed):
     f = random_function(np.random.default_rng(seed), n)
     s = wht(f)
     assert int(s.squared().sum()) == 4**n
-
-
-def test_transform_is_self_inverse_up_to_scale():
-    rng = np.random.default_rng(9)
-    f = random_function(rng, 5)
-    twice = hadamard_inplace(hadamard_inplace(f.values()))
-    assert (twice == (1 << 5) * f.values()).all()
 
 
 def test_partial_transform_composes_to_full():
@@ -155,7 +157,7 @@ def test_influence_numerators_match_per_coordinate_sums(n):
     rng = np.random.default_rng(n)
     bits = rng.integers(0, 2, size=(5, 1 << n), dtype=np.uint8)
     bits[0] = 0
-    coeffs = hadamard_inplace(1 - 2 * bits.astype(np.int64))
+    coeffs = sign_spectrum(bits)
     squared = coeffs * coeffs
     members = np.arange(1 << n)
     brute = np.stack(
@@ -185,7 +187,9 @@ def test_batch_stats_matches_single_function_paths():
     from hypercube_spectra import analyze, q31_report
 
     rng = np.random.default_rng(8)
-    for n, count in ((5, 40), (9, 12), (12, 4)):  # one, two unequal and two equal stages
+    # one, two unequal, two equal and three stages; from n = 13 on, the
+    # squares and the q31 sums of |c| products pass float32's 2^24
+    for n, count in ((5, 40), (9, 12), (12, 4), (16, 2)):
         fns = [random_function(rng, n) for _ in range(count)]
         bits = np.stack([f.bits() for f in fns])
         stats = batch_stats(bits)
