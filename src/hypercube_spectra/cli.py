@@ -32,7 +32,14 @@ from .inequality import (
     sweep_gap,
     sweep_gap_random,
 )
-from .moments import chain, lemma22_check, moment_curve
+from .moments import (
+    chain,
+    chain_batch,
+    check_chain_eps,
+    lemma22_batch,
+    lemma22_check,
+    moment_curve,
+)
 from .search import SearchJob, chunk_stats, metric_columns
 from . import search as search_mod
 from .spectrum import wht
@@ -155,12 +162,6 @@ def _metric_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else search_mod.METRICS
 
 
-def _rng_function(rng: np.random.Generator, n: int) -> BooleanFunction:
-    raw = rng.integers(0, 256, size=(1 << n) // 8 or 1, dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: 1 << n]
-    return from_sign_bits(bits)
-
-
 def _cmd_analyze(args):
     f, _ = _load_function(args)
     return _fingerprint(f), "ok", analyze(f).as_dict()
@@ -245,35 +246,89 @@ def _check_trials(args) -> None:
         raise ValueError(f"--max-n must be at most {MAX_N}, got {args.max_n}")
 
 
+_TRIAL_BLOCK = 1024  # trials drawn before their tables are grouped by n
+_BLOCK_ENTRIES = 1 << 24  # a block also ends once its tables hold this many entries
+
+
+def _trial_batches(args, draw_extra):
+    """The random trials of a lemma sweep, as batches of same-dimension tables.
+
+    Trials are drawn in the order a one-at-a-time loop draws them: n, the
+    table's bytes, then draw_extra(rng, n).  A block of trials ends after
+    _TRIAL_BLOCK trials or once its tables hold _BLOCK_ENTRIES entries; its
+    trials are grouped by n, and each group is yielded in batches of at most
+    search._GROUP_ENTRIES table entries (one row when a table is larger),
+    as (n, trial indices, sign bits (rows, 2^n), extras) with rows in trial
+    order.  Callers check the sweep flags first (_check_trials).
+    """
+    rng = np.random.default_rng(args.seed)
+    drawn = 0
+    while drawn < args.trials:
+        # The block's packed tables lie back to back in one buffer: room for
+        # the entry bound, the table that crosses it, and one byte for each
+        # table shorter than a byte.  Besides saving an array per trial, the
+        # one large allocation freed per block lifts glibc's heap trim
+        # threshold; with per-trial arrays, an exhaustive n = 4 search later
+        # in the same process page-faulted its row groups back in each chunk.
+        packed = np.empty(((_BLOCK_ENTRIES + (1 << args.max_n)) >> 3) + _TRIAL_BLOCK, np.uint8)
+        groups: dict[int, list] = {}
+        entries = end = 0
+        for _ in range(min(_TRIAL_BLOCK, args.trials - drawn)):
+            n = int(rng.integers(1, args.max_n + 1))
+            width = (1 << n) // 8 or 1
+            packed[end : end + width] = rng.integers(0, 256, size=width, dtype=np.uint8)
+            groups.setdefault(n, []).append((drawn, end, draw_extra(rng, n)))
+            drawn += 1
+            end += width
+            entries += 1 << n
+            if entries >= _BLOCK_ENTRIES:
+                break
+        for n, trials in sorted(groups.items()):
+            rows = max(1, search_mod._GROUP_ENTRIES >> n)
+            width = (1 << n) // 8 or 1
+            for start in range(0, len(trials), rows):
+                indices, offsets, extras = zip(*trials[start : start + rows])
+                tables = np.stack([packed[at : at + width] for at in offsets])
+                bits = np.unpackbits(tables, axis=-1, bitorder="little")
+                yield n, indices, bits[:, : 1 << n], extras
+
+
+def _draw_restriction(rng: np.random.Generator, n: int) -> tuple[list[int], int]:
+    size = int(rng.integers(1, n + 1))
+    j_set = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+    return j_set, int(rng.choice(j_set))
+
+
 def _verify_lemma22(args):
     _check_trials(args)
-    rng = np.random.default_rng(args.seed)
     failures = 0
-    first = None
-    for _ in range(args.trials):
-        n = int(rng.integers(1, args.max_n + 1))
-        f = _rng_function(rng, n)
-        size = int(rng.integers(1, n + 1))
-        j_set = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-        k = int(rng.choice(j_set))
+    first = None  # (trial, sign bits, J, k) of the first failing trial
+    for _, indices, bits, drawn in _trial_batches(args, _draw_restriction):
+        masks = np.array([sum(1 << (c - 1) for c in j_set) for j_set, _ in drawn])
+        weights, changes = lemma22_batch(bits, masks, np.array([k for _, k in drawn]))
+        bad = np.flatnonzero(weights != changes << (np.bitwise_count(masks) + 1))
+        failures += bad.size
+        if bad.size and (first is None or indices[bad[0]] < first[0]):
+            first = (indices[bad[0]], bits[bad[0]], *drawn[bad[0]])
+    first_failure = None
+    if first is not None:
+        _, row, j_set, k = first
+        f = from_sign_bits(row)
         lhs, rhs = lemma22_check(f, j_set, k)
-        if lhs != rhs:
-            failures += 1
-            if first is None:
-                first = {
-                    "n": n,
-                    "fn": f.to_hex(),
-                    "J": list(j_set),
-                    "k": k,
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
+        first_failure = {
+            "n": f.n,
+            "fn": f.to_hex(),
+            "J": j_set,
+            "k": k,
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+        }
     payload = {
         "trials": args.trials,
         "max_n": args.max_n,
         "seed": args.seed,
         "failures": failures,
-        "first_failure": first,
+        "first_failure": first_failure,
     }
     return None, ("ok" if failures == 0 else "violation"), payload
 
@@ -285,24 +340,32 @@ def _verify_lemma31(args):
         if args.eps is not None
         else (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
     )
-    rng = np.random.default_rng(args.seed)
+    check_chain_eps(eps_values)  # before the first trial is drawn
     checks = 0
     violations = 0
-    min_margin = math.inf
+    # The witness is the first strict minimum in (trial, eps) order.  Each
+    # batch's rows are in trial order, so its flat argmin is its first
+    # minimum; across batches, which come grouped by n, ties go to the
+    # earlier position.
+    best = (math.inf, math.inf, 0)  # (margin, trial, eps index)
     witness = None
-    for _ in range(args.trials):
-        n = int(rng.integers(1, args.max_n + 1))
-        f = _rng_function(rng, n)
-        order = (rng.permutation(n) + 1).tolist()
-        for report in chain(f, eps_values, order=order):
-            margins = [s.delta - s.floor for s in report.steps]
-            margins.append(report.final - report.telescoped_floor)
-            checks += len(margins)
-            low = min(margins)
-            violations += sum(1 for m in margins if m < -_VIOLATION_TOL)
-            if low < min_margin:
-                min_margin = low
-                witness = {"n": n, "fn": f.to_hex(), "eps": report.eps, "order": order}
+    for n, indices, bits, orders in _trial_batches(
+        args, lambda rng, n: rng.permutation(n) + 1
+    ):
+        margins = chain_batch(bits, np.array(orders), eps_values).margins()
+        checks += margins.size
+        violations += int(np.count_nonzero(margins < -_VIOLATION_TOL))
+        lows = margins.min(axis=-1)  # no margin is -0.0, so this is Python's min
+        row, j = np.unravel_index(int(lows.argmin()), lows.shape)
+        candidate = (float(lows[row, j]), indices[row], int(j))
+        if candidate < best:
+            best = candidate
+            witness = {
+                "n": n,
+                "fn": from_sign_bits(bits[row]).to_hex(),
+                "eps": eps_values[j],
+                "order": orders[row].tolist(),
+            }
     payload = {
         "trials": args.trials,
         "max_n": args.max_n,
@@ -310,7 +373,7 @@ def _verify_lemma31(args):
         "eps": [float(e) for e in eps_values],
         "checks": checks,
         "violations": violations,
-        "min_margin": min_margin,
+        "min_margin": best[0],
         "witness_of_min": witness,
         "tolerance": _VIOLATION_TOL,
     }

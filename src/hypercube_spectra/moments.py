@@ -13,6 +13,11 @@ restricted coefficients, indexed by (assignment bits, character bits).
 Growing V one coordinate at a time connects M to the spectral entropy:
 each step k costs at most I_k (3 eps + 2 eps^2 + (I_k/4)^{-eps} - 1) and
 the derivative of M_{[n],eps} at eps = 0 recovers -Ent(f) ln 2.
+
+The chain and the restriction identity of Lemma 2.2 each have one batched
+core over rows of same-dimension sign-bit tables, (rows, 2^n): a pass on
+one coordinate runs once over every row that needs it, and every sum runs
+along the rows' last axis.  `chain` and `lemma22_check` are batches of one.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _halves, _influence, partial_hadamard_inplace, sign_spectrum
+from .spectrum import _changes, _halves, partial_hadamard_inplace, sign_spectrum
 
 LN2 = math.log(2.0)
 
@@ -34,6 +39,16 @@ DEFAULT_EPS_GRID = tuple(k * 0.01 for k in range(1, 50))
 def _check_eps(eps: float) -> None:
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
+
+
+def check_chain_eps(eps_values: Sequence[float]) -> None:
+    """Refuse an eps list the chain cannot take: empty, or a value outside (0, 1/2)."""
+    if not eps_values:
+        raise ValueError("the chain needs at least one eps")
+    for eps in eps_values:
+        _check_eps(eps)
+        if eps == 0.0:
+            raise ValueError("the chain needs eps > 0; every moment is 1 at eps = 0")
 
 
 def _check_coords(coords, n: int, label: str) -> list[int]:
@@ -48,10 +63,16 @@ def _check_coords(coords, n: int, label: str) -> list[int]:
 
 def _power_sums(
     transformed: np.ndarray, m: int, n: int, eps_values: Iterable[float]
-) -> list[float]:
-    """Moments, one per eps, from a table carrying 2^m-scaled restricted coefficients."""
+) -> np.ndarray:
+    """Moments from tables (..., 2^n) carrying 2^m-scaled restricted coefficients.
+
+    The result has shape (len(eps_values), ...): one moment per eps and row.
+    """
+    # A row's sum along the last axis is bitwise the sum of that row alone,
+    # so a batch of rows gives each table the moments it gets by itself.
     squared = transformed.astype(np.float64) ** 2 / 4.0**m  # exact: |c| <= 2^m
-    return [float(np.power(squared, 1.0 + eps).sum()) / 2.0 ** (n - m) for eps in eps_values]
+    sums = [np.power(squared, 1.0 + eps).sum(axis=-1) for eps in eps_values]
+    return np.array(sums) / 2.0 ** (n - m)
 
 
 @dataclass(frozen=True)
@@ -76,12 +97,47 @@ def moment_curve(
     if not v:
         return MomentCurve((), grid, tuple(1.0 for _ in grid))
     work = partial_hadamard_inplace(f.values(), [k - 1 for k in v])
-    return MomentCurve(tuple(v), grid, tuple(_power_sums(work, len(v), f.n, grid)))
+    return MomentCurve(tuple(v), grid, tuple(_power_sums(work, len(v), f.n, grid).tolist()))
 
 
 def moment(f: BooleanFunction, coords: Iterable[int], eps: float) -> float:
     """M_{V,eps}(f) for V given as 1-based coordinate labels."""
     return moment_curve(f, coords, (eps,)).values[0]
+
+
+def _butterfly_rows(work: np.ndarray, picked: np.ndarray, bit: int) -> None:
+    """One butterfly pass on `bit` over the rows `picked` of work, in place."""
+    if picked.size == len(work):
+        partial_hadamard_inplace(work, [bit])
+    elif picked.size:
+        work[picked] = partial_hadamard_inplace(work[picked], [bit])
+
+
+def lemma22_batch(
+    bits: np.ndarray, j_masks: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the restriction identity for sign-bit tables (rows, 2^n).
+
+    Row r takes J from the bit mask j_masks[r] (bit c-1 set for c in J) and
+    a coordinate k = ks[r] in J.  Returns integer columns (weights, changes):
+    weights is 2^(n+|J|) times the averaged weight on {S : k in S subset J}
+    and changes is 2^(n-1) I_k, so the identity holds on a row exactly when
+    weights == changes << (|J| + 1).
+    """
+    rows, size = bits.shape
+    n = size.bit_length() - 1
+    work = np.subtract(1, bits << 1, dtype=np.int64)
+    for bit in range(n):
+        _butterfly_rows(work, np.flatnonzero((j_masks >> bit) & 1), bit)
+    weights = np.empty(rows, dtype=np.int64)
+    changes = np.empty(rows, dtype=np.int64)
+    for k in set(ks.tolist()):
+        share = np.flatnonzero(ks == k)
+        whole = share.size == rows  # a single table is not copied
+        _, hit = _halves(work if whole else work[share], k - 1)
+        weights[share] = (hit**2).sum(axis=(-2, -1))  # <= 2^(n+|J|), exact in int64
+        changes[share] = _changes(bits if whole else bits[share], k - 1)
+    return weights, changes
 
 
 def lemma22_check(f: BooleanFunction, j_set: Iterable[int], k: int):
@@ -92,12 +148,9 @@ def lemma22_check(f: BooleanFunction, j_set: Iterable[int], k: int):
     j = _check_coords(j_set, f.n, "J")
     if k not in j:
         raise ValueError(f"coordinate k={k} must belong to J")
-    work = partial_hadamard_inplace(f.values(), [c - 1 for c in j])
-    _, hit = _halves(work, k - 1)
-    total = int((hit**2).sum())  # <= 2^(n+|J|), exact in int64
-    lhs = Fraction(total, 2 ** (f.n + len(j)))
-    rhs = _influence(f.bits(), k - 1)
-    return lhs, rhs
+    mask = sum(1 << (c - 1) for c in j)
+    (weight,), (change,) = lemma22_batch(f.bits()[None], np.array([mask]), np.array([k]))
+    return Fraction(int(weight), 2 ** (f.n + len(j))), Fraction(int(change), 2 ** (f.n - 1))
 
 
 def step_floor(influence: Fraction, eps: float) -> float:
@@ -106,6 +159,54 @@ def step_floor(influence: Fraction, eps: float) -> float:
     if ik == 0.0:
         return 0.0
     return -ik * (3.0 * eps + 2.0 * eps * eps + (ik / 4.0) ** (-eps) - 1.0)
+
+
+@dataclass(frozen=True)
+class ChainBatch:
+    """Moment chains of same-dimension tables: axis 0 is the table, axis 1 the eps."""
+
+    values: np.ndarray  # (rows, eps, n): M after each step
+    floors: np.ndarray  # (rows, eps, n): step_floor of each step
+    telescoped: np.ndarray  # (rows, eps): 1 minus the summed floors
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return np.diff(self.values, axis=-1, prepend=1.0)
+
+    def margins(self) -> np.ndarray:
+        """delta - floor per step, then final - telescoped floor: (rows, eps, n + 1)."""
+        final = self.values[..., -1] - self.telescoped
+        return np.concatenate([self.deltas - self.floors, final[..., None]], axis=-1)
+
+
+def chain_batch(
+    bits: np.ndarray, orders: np.ndarray, eps_values: Sequence[float]
+) -> ChainBatch:
+    """Moment chains of sign-bit tables (rows, 2^n), row r adding orders[r] in turn.
+
+    orders is (rows, n), each row a permutation of 1..n, and every eps lies
+    in (0, 1/2) (see check_chain_eps).  At each depth one butterfly pass runs
+    per coordinate, over the rows whose order puts that coordinate there, so
+    the chains of every row and every eps share one transform per row.
+    """
+    rows, size = bits.shape
+    n = size.bit_length() - 1
+    edges = np.stack([_changes(bits, bit) for bit in range(n)], axis=-1)
+    counts = np.take_along_axis(edges, orders - 1, axis=1)
+    # A batch meets few distinct influences: one step_floor per count and eps.
+    distinct = sorted(set(counts.ravel().tolist()))
+    table = [[step_floor(Fraction(c, size >> 1), eps) for eps in eps_values] for c in distinct]
+    floors = np.array(table)[np.searchsorted(distinct, counts)].transpose(0, 2, 1)
+    # math.fsum is correctly rounded, so each chain's floors may be summed in any order.
+    telescoped = [[1.0 - math.fsum(row) for row in chain] for chain in (-floors).tolist()]
+    values = np.empty((rows, len(eps_values), n))
+    work = np.subtract(1, bits << 1, dtype=np.int64)
+    for depth in range(n):
+        step = orders[:, depth]
+        for coord in set(step.tolist()):
+            _butterfly_rows(work, np.flatnonzero(step == coord), coord - 1)
+        values[:, :, depth] = _power_sums(work, depth + 1, n, eps_values).T
+    return ChainBatch(values, floors, np.array(telescoped))
 
 
 @dataclass(frozen=True)
@@ -144,38 +245,29 @@ def chain(
 ) -> tuple[ChainReport, ...]:
     """Grow V one coordinate at a time and track each moment drop, per eps.
 
-    Each step reuses the previous table and applies a single butterfly
-    pass, so the chains for every eps share one full transform; only the
-    power sums and floors depend on eps.  Reports follow `eps_values`.
+    A chain_batch of one row: each step reuses the previous table and
+    applies a single butterfly pass, so the chains for every eps share one
+    full transform; only the power sums and floors depend on eps.  Reports
+    follow `eps_values`.
     """
     eps_values = tuple(eps_values)
-    if not eps_values:
-        raise ValueError("the chain needs at least one eps")
-    for eps in eps_values:
-        _check_eps(eps)
-        if eps == 0.0:
-            raise ValueError("the chain needs eps > 0; every moment is 1 at eps = 0")
+    check_chain_eps(eps_values)
     seq = list(order) if order is not None else list(range(1, f.n + 1))
     if sorted(seq) != list(range(1, f.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{f.n}")
-    bits = f.bits()
-    influences = [_influence(bits, coord - 1) for coord in seq]
-    work = f.values()
-    rows = []  # rows[depth - 1][j]: moment after `depth` coordinates at eps_values[j]
-    for depth, coord in enumerate(seq, start=1):
-        partial_hadamard_inplace(work, [coord - 1])
-        rows.append(_power_sums(work, depth, f.n, eps_values))
-    reports = []
-    for j, eps in enumerate(eps_values):
-        previous = 1.0
-        steps = []
-        for coord, row, influence in zip(seq, rows, influences):
-            floor = step_floor(influence, eps)
-            steps.append(ChainStep(coord, row[j], row[j] - previous, floor))
-            previous = row[j]
-        telescoped = 1.0 - math.fsum(-s.floor for s in steps)
-        reports.append(ChainReport(eps, tuple(seq), tuple(steps), previous, telescoped))
-    return tuple(reports)
+    batch = chain_batch(f.bits()[None], np.array([seq]), eps_values)
+    columns = zip(
+        eps_values,
+        batch.values[0].tolist(),
+        batch.deltas[0].tolist(),
+        batch.floors[0].tolist(),
+        batch.telescoped[0].tolist(),
+    )
+    return tuple(
+        ChainReport(eps, tuple(seq), tuple(map(ChainStep, seq, values, deltas, floors)),
+                    values[-1], telescoped)
+        for eps, values, deltas, floors, telescoped in columns
+    )
 
 
 def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float:
@@ -187,7 +279,7 @@ def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float
     if not 0.0 < h <= 1e-3:
         raise ValueError(f"step h must lie in (0, 1e-3], got {h}")
     work = sign_spectrum(f.bits())
-    m_h, m_half = _power_sums(work, f.n, f.n, (h, h / 2.0))
+    m_h, m_half = _power_sums(work, f.n, f.n, (h, h / 2.0)).tolist()
     d_h = (m_h - 1.0) / h
     d_half = (m_half - 1.0) / (h / 2.0)
     return -(2.0 * d_half - d_h) / LN2

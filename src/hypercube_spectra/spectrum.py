@@ -146,10 +146,15 @@ class InfluenceProfile:
         return sum(self.per_coord, Fraction(0))
 
 
+def _changes(bits: np.ndarray, bit: int) -> np.ndarray:
+    """Per sign-bit table (..., 2^n): the edges along coordinate bit + 1 where f changes."""
+    lo, hi = _halves(bits, bit)
+    return np.count_nonzero(lo != hi, axis=(-2, -1))
+
+
 def _influence(bits: np.ndarray, bit: int) -> Fraction:
     """I_k for k = bit + 1: the share of the 2^(n-1) edges along k where f changes."""
-    lo, hi = _halves(bits, bit)
-    return Fraction(int(np.count_nonzero(lo != hi)), lo.size)
+    return Fraction(int(_changes(bits, bit)), bits.shape[-1] >> 1)
 
 
 def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:

@@ -1,10 +1,13 @@
 """Shared oracles: slow, definitional reimplementations used to pin the fast paths."""
+import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from hypercube_spectra import BooleanFunction, Spectrum, from_sign_bits
+from hypercube_spectra import BooleanFunction, Spectrum, chain, from_sign_bits, lemma22_check
 from hypercube_spectra.search import chunk_stats
 from hypercube_spectra.spectrum import partial_hadamard_inplace
 
@@ -91,6 +94,26 @@ def parseval_sums(bits: np.ndarray) -> np.ndarray:
     return (coeffs * coeffs).sum(axis=1)
 
 
+# Run in a child of a fresh interpreter, so that ru_maxrss of the children
+# is the peak of the command alone, not of the test process or its pools.
+_PEAK_PROBE = """
+import resource, subprocess, sys
+done = subprocess.run(sys.argv[1:], capture_output=True, timeout=300)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(done.returncode, len(done.stdout.splitlines()), peak_mb)
+"""
+
+
+def peak_probe(*cli_args: str) -> tuple[int, int, float]:
+    """Exit code, stdout line count and peak RSS in MB of one CLI run in a fresh process."""
+    argv = [sys.executable, "-m", "hypercube_spectra.cli", *cli_args]
+    probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv],
+                           capture_output=True, text=True, timeout=330)
+    assert probe.returncode == 0, probe.stderr
+    code, lines, peak_mb = probe.stdout.split()
+    return int(code), int(lines), float(peak_mb)
+
+
 # Index-based builders of the block families: one pass over the whole 2^n
 # input index per block, straight from the definitions.
 
@@ -122,3 +145,67 @@ def oracle_first_even_group(s: int, t: int, fallback: str = "t") -> BooleanFunct
         p0[even & (p0 == 0)] = p
     p0[p0 == 0] = t if fallback == "t" else s * t
     return from_sign_bits(((p0 & 1) == 1).astype(np.uint8))
+
+
+# The random-trial sweeps `verify lemma22` and `verify lemma31`, one trial
+# at a time: each draws a table, then its extras, and checks it alone.
+
+
+def _draw_table(rng: np.random.Generator, n: int) -> BooleanFunction:
+    raw = rng.integers(0, 256, size=(1 << n) // 8 or 1, dtype=np.uint8)
+    return from_sign_bits(np.unpackbits(raw, bitorder="little")[: 1 << n])
+
+
+def lemma22_trials(trials: int, max_n: int, seed: int):
+    """(f, J, k) per trial, in the rng order of `verify lemma22`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(1, max_n + 1))
+        f = _draw_table(rng, n)
+        size = int(rng.integers(1, n + 1))
+        j_set = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+        yield f, j_set, int(rng.choice(j_set))
+
+
+def lemma22_oracle(trials: int, max_n: int, seed: int) -> tuple[str, dict]:
+    """Status and payload of `verify lemma22`, from one lemma22_check per trial."""
+    failures = 0
+    first = None
+    for f, j_set, k in lemma22_trials(trials, max_n, seed):
+        lhs, rhs = lemma22_check(f, j_set, k)
+        if lhs != rhs:
+            failures += 1
+            if first is None:
+                first = {"n": f.n, "fn": f.to_hex(), "J": j_set, "k": k,
+                         "lhs": str(lhs), "rhs": str(rhs)}
+    payload = {"trials": trials, "max_n": max_n, "seed": seed,
+               "failures": failures, "first_failure": first}
+    return ("ok" if failures == 0 else "violation"), payload
+
+
+def lemma31_oracle(trials: int, max_n: int, seed: int, eps_values) -> tuple[str, dict]:
+    """Status and payload of `verify lemma31`, from one chain call per trial.
+
+    The witness is the first strict minimum in (trial, eps) order.
+    """
+    rng = np.random.default_rng(seed)
+    checks = violations = 0
+    min_margin = math.inf
+    witness = None
+    for _ in range(trials):
+        n = int(rng.integers(1, max_n + 1))
+        f = _draw_table(rng, n)
+        order = (rng.permutation(n) + 1).tolist()
+        for report in chain(f, eps_values, order=order):
+            margins = [s.delta - s.floor for s in report.steps]
+            margins.append(report.final - report.telescoped_floor)
+            checks += len(margins)
+            violations += sum(1 for m in margins if m < -1e-9)
+            if min(margins) < min_margin:
+                min_margin = min(margins)
+                witness = {"n": n, "fn": f.to_hex(), "eps": report.eps, "order": order}
+    payload = {"trials": trials, "max_n": max_n, "seed": seed,
+               "eps": [float(e) for e in eps_values], "checks": checks,
+               "violations": violations, "min_margin": min_margin,
+               "witness_of_min": witness, "tolerance": 1e-9}
+    return ("ok" if violations == 0 else "violation"), payload

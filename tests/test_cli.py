@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from hypercube_spectra import SearchJob, cli, run_search
+from hypercube_spectra import SearchJob, cli, lemma22_check, run_search, search
 from hypercube_spectra.inequality import SweepResult
+
+from conftest import lemma22_oracle, lemma22_trials, lemma31_oracle, peak_probe
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,110 @@ def test_verify_lemma22_and_lemma31(capsys):
     payload = json.loads(out)["payload"]
     assert payload["violations"] == 0
     assert payload["min_margin"] >= -1e-9
+
+
+LEMMA31_EPS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)  # `verify lemma31` without --eps
+
+
+# The first case of each command is its small_verify benchmark run: the trial
+# count, --max-n and seed that perfbench draws at its default seed.
+@pytest.mark.parametrize(
+    "kind, trials, max_n, seed, eps",
+    [
+        pytest.param("lemma31", 2000, 8, 1381391840, None, id="lemma31-bench"),
+        pytest.param("lemma31", 1, 8, 3, None, id="lemma31-one-trial"),
+        pytest.param("lemma31", 60, 6, 11, "0.1,0.4", id="lemma31-custom-eps"),
+        # the four tables of n = 1 tie on their margins all the time
+        pytest.param("lemma31", 200, 1, 5, None, id="lemma31-max-n-1"),
+        pytest.param("lemma31", 1500, 3, 2, None, id="lemma31-two-blocks"),
+        pytest.param("lemma22", 5000, 10, 962964187, None, id="lemma22-bench"),
+        pytest.param("lemma22", 1, 10, 3, None, id="lemma22-one-trial"),
+        pytest.param("lemma22", 100, 1, 5, None, id="lemma22-max-n-1"),
+        pytest.param("lemma22", 300, 14, 8, None, id="lemma22-max-n-14"),
+    ],
+)
+def test_verify_lemma_sweeps_match_one_trial_at_a_time(capsys, kind, trials, max_n, seed, eps):
+    argv = ["verify", kind, "--trials", str(trials), "--max-n", str(max_n), "--seed", str(seed)]
+    if kind == "lemma22":
+        status, payload = lemma22_oracle(trials, max_n, seed)
+    else:
+        eps_values = LEMMA31_EPS if eps is None else tuple(map(float, eps.split(",")))
+        status, payload = lemma31_oracle(trials, max_n, seed, eps_values)
+    if eps is not None:
+        argv += ["--eps", eps]
+    code, out, _ = run_cli(capsys, *argv)
+    # equal text means bitwise-equal floats: %.16e tells every double apart
+    assert out == cli._envelope(argv, None, status, payload) + "\n"
+    assert code == (0 if status == "ok" else 2)
+
+
+_BOUNDARIES = [
+    (cli, "_TRIAL_BLOCK", 1),
+    (cli, "_TRIAL_BLOCK", 3),
+    (cli, "_BLOCK_ENTRIES", 40),
+    (search, "_GROUP_ENTRIES", 1),  # one row per batch
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "lemma31", "--trials", "200", "--max-n", "6", "--seed", "4"),
+        ("verify", "lemma31", "--trials", "50", "--max-n", "1", "--seed", "6"),
+        ("verify", "lemma22", "--trials", "300", "--max-n", "8", "--seed", "4"),
+    ],
+)
+def test_trial_blocks_and_batches_do_not_leak(monkeypatch, capsys, argv):
+    expected = run_cli(capsys, *argv)
+    for owner, name, value in _BOUNDARIES:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, value)
+            assert run_cli(capsys, *argv) == expected, (name, value)
+
+
+def test_lemma22_reports_its_first_failure_in_trial_order(monkeypatch, capsys):
+    real = cli.lemma22_batch
+
+    def forged(bits, j_masks, ks):
+        weights, changes = real(bits, j_masks, ks)
+        return weights + (ks == 2), changes  # every trial with k = 2 fails
+
+    monkeypatch.setattr(cli, "lemma22_batch", forged)
+    argv = ("verify", "lemma22", "--trials", "300", "--max-n", "6", "--seed", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    failing = [(f, j_set) for f, j_set, k in lemma22_trials(300, 6, 4) if k == 2]
+    f, j_set = failing[0]
+    # a later failure has a smaller n, so its batch is checked first
+    assert any(g.n < f.n for g, _ in failing[1:])
+    lhs, rhs = lemma22_check(f, j_set, 2)
+    payload = json.loads(out)["payload"]
+    assert code == 2
+    assert payload["failures"] == len(failing)
+    assert payload["first_failure"] == {
+        "n": f.n, "fn": f.to_hex(), "J": j_set, "k": 2, "lhs": str(lhs), "rhs": str(rhs)
+    }
+    for owner, name, value in _BOUNDARIES:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, value)
+            assert run_cli(capsys, *argv)[:2] == (code, out), (name, value)
+
+
+@pytest.mark.parametrize("eps", ["0", "0.5", "-0.1"])
+def test_verify_lemma31_refuses_bad_eps_before_drawing(monkeypatch, capsys, eps):
+    monkeypatch.setattr(cli, "_trial_batches", lambda *args: pytest.fail("a trial was drawn"))
+    code, out, _ = run_cli(capsys, "verify", "lemma31", "--trials", "5", "--eps", eps)
+    _assert_error_envelope(code, out, "eps")
+
+
+def test_lemma22_sweep_runs_in_bounded_memory():
+    # 600 trials up to n = 18 fill a first block of 581 trials (2^24 table
+    # entries), 22 of them at n = 18.  One batch of those 22 tables peaked at
+    # 154 MB; capped at 2^15 entries, a batch is one such table and the run
+    # peaks near 45 MB, as the one-trial-at-a-time loop did (43 MB).
+    code, lines, peak_mb = peak_probe("verify", "lemma22", "--trials", "600", "--max-n", "18",
+                                      "--seed", "1")
+    assert (code, lines) == (0, 1)
+    assert peak_mb < 100.0
 
 
 def test_verify_theorem_exhaustive(capsys):

@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from hypercube_spectra import (
 from hypercube_spectra import cli, search
 from hypercube_spectra.search import METRICS, batch_stats
 
-from conftest import chunk_columns
+from conftest import chunk_columns, peak_probe
 
 
 def test_job_validation():
@@ -319,24 +317,10 @@ def test_batch_stats_never_sees_more_than_one_group(monkeypatch, capsys, argv):
     assert max(rows * cols for rows, cols in shapes) == limit  # full groups, not single rows
 
 
-# Run in a child of a fresh interpreter, so that ru_maxrss of the children
-# is the peak of the sweep alone, not of this test process or its pools.
-_PEAK_PROBE = """
-import resource, subprocess, sys
-done = subprocess.run(sys.argv[1:], capture_output=True, timeout=300)
-peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-print(done.returncode, len(done.stdout.splitlines()), peak_mb)
-"""
-
-
 def test_sampled_n16_sweep_runs_in_bounded_memory():
     # A whole 512-row chunk at n = 16 held 838 MB at its peak; row groups
     # keep the working set to one row's arrays plus the interpreter.
-    argv = [sys.executable, "-m", "hypercube_spectra.cli", "search", "--mode", "sample",
-            "--n", "16", "--count", "512", "--seed", "1", "--workers", "1"]
-    probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv],
-                           capture_output=True, text=True, timeout=330)
-    assert probe.returncode == 0, probe.stderr
-    code, lines, peak_mb = probe.stdout.split()
-    assert (int(code), int(lines)) == (0, len(METRICS))
-    assert float(peak_mb) < 200.0
+    code, lines, peak_mb = peak_probe("search", "--mode", "sample", "--n", "16", "--count", "512",
+                                      "--seed", "1", "--workers", "1")
+    assert (code, lines) == (0, len(METRICS))
+    assert peak_mb < 200.0
