@@ -14,6 +14,7 @@ Bit conventions, fixed across the package:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -21,6 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 MAX_N = 24
+
+_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
 
 
 def _check_dim(n: int) -> None:
@@ -126,11 +129,11 @@ class BooleanFunction:
             raise ValueError(
                 f"truth-table hex for n={n} must have exactly {width} digits, got {len(text)}"
             )
-        try:
-            table = int(text[::-1], 16)
-        except ValueError:
-            raise ValueError(f"invalid hex digits in truth table: {text!r}") from None
-        return cls(n, table)
+        # int(text, 16) alone would also take "_", a sign, whitespace and
+        # non-ASCII digits.
+        if not _HEX_DIGITS.fullmatch(text):
+            raise ValueError(f"invalid hex digits in truth table: {text!r}")
+        return cls(n, int(text[::-1], 16))
 
 
 def from_sign_bits(bits: np.ndarray) -> BooleanFunction:
@@ -172,6 +175,8 @@ class FamilySpec:
                 key, eq, val = piece.partition("=")
                 if not eq or not key:
                     raise ValueError(f"malformed family parameter {piece!r}")
+                if key in params:
+                    raise ValueError(f"family parameter {key!r} is given twice")
                 if key == "fallback":
                     params[key] = val
                 else:

@@ -63,7 +63,11 @@ def _fmt_float(x: float) -> str:
 
 
 def render_json(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, %.16e floats."""
+    """Deterministic JSON: insertion-ordered keys, %.16e floats.
+
+    Dataclasses and named tuples render as objects of their fields in
+    declaration order; a Fraction renders as its quoted string.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -76,6 +80,10 @@ def render_json(obj) -> str:
         return json.dumps(str(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if dataclasses.is_dataclass(obj):
+        return render_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return render_json(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(render_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -159,12 +167,12 @@ def _parse_eps_values(text: str | None) -> tuple[float, ...]:
 
 
 def _metric_list(text: str) -> tuple[str, ...]:
-    return tuple(text.split(",")) if text else search_mod.METRICS
+    return tuple(text.split(",")) if text else ()  # SearchJob refuses the empty list
 
 
 def _cmd_analyze(args):
     f, _ = _load_function(args)
-    return _fingerprint(f), "ok", analyze(f).as_dict()
+    return _fingerprint(f), "ok", analyze(f)
 
 
 def _cmd_spectrum(args):
@@ -191,12 +199,7 @@ def _cmd_moments(args):
         lines = ["eps,value"]
         lines += [f"{_fmt_float(e)},{_fmt_float(v)}" for e, v in zip(curve.eps, curve.values)]
         return None, "ok", "\n".join(lines)
-    payload = {
-        "coords": list(curve.coords),
-        "eps": list(curve.eps),
-        "values": list(curve.values),
-    }
-    return _fingerprint(f), "ok", payload
+    return _fingerprint(f), "ok", curve
 
 
 def _cmd_chain(args):
@@ -205,12 +208,12 @@ def _cmd_chain(args):
     (report,) = chain(f, (args.eps,), order=order)
     ok = all(s.delta >= s.floor - _VIOLATION_TOL for s in report.steps)
     ok = ok and report.final >= report.telescoped_floor - _VIOLATION_TOL
-    return _fingerprint(f), ("ok" if ok else "violation"), report.as_dict()
+    return _fingerprint(f), ("ok" if ok else "violation"), report
 
 
 def _cmd_q31(args):
     f, _ = _load_function(args)
-    return _fingerprint(f), "ok", q31_report(wht(f)).as_dict()
+    return _fingerprint(f), "ok", q31_report(wht(f))
 
 
 def _verify_scalar(kind: str, args):
@@ -223,11 +226,11 @@ def _verify_scalar(kind: str, args):
         raise ValueError("--seed needs --random; drop --seed")
     grid = ScalarGridSpec(args.grid, _parse_eps_values(args.eps))
     result = sweep_gap(kind, grid)
-    payload = {"grid": result.as_dict(), "tolerance": 1e-12}
+    payload = {"grid": result, "tolerance": 1e-12}
     violations = result.violations
     if args.random is not None:
         rand = sweep_gap_random(kind, args.random, args.seed)
-        payload["random"] = rand.as_dict()
+        payload["random"] = rand
         violations += rand.violations
     return None, ("ok" if violations == 0 else "violation"), payload
 
@@ -320,8 +323,8 @@ def _verify_lemma22(args):
             "fn": f.to_hex(),
             "J": j_set,
             "k": k,
-            "lhs": str(lhs),
-            "rhs": str(rhs),
+            "lhs": lhs,
+            "rhs": rhs,
         }
     payload = {
         "trials": args.trials,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,6 +89,13 @@ def influence_floats(influences: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+class Concentration(NamedTuple):
+    """Fewest characters whose weight reaches 1 - delta (concentration_count)."""
+
+    delta: float
+    count: int
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the analyzer computes for a single function."""
@@ -102,23 +109,7 @@ class AnalysisReport:
     bound_bits: float
     bound_drop_one_bits: float
     jensen_cap_bits: float | None
-    concentration: tuple[tuple[float, int], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entropy_bits": self.entropy_bits,
-            "min_entropy_bits": self.min_entropy_bits,
-            "influences": [str(ik) for ik in self.influences],
-            "influence_total": str(self.influence_total),
-            "term_sum_bits": self.term_sum_bits,
-            "bound_bits": self.bound_bits,
-            "bound_drop_one_bits": self.bound_drop_one_bits,
-            "jensen_cap_bits": self.jensen_cap_bits,
-            "concentration": [
-                {"delta": delta, "count": count} for delta, count in self.concentration
-            ],
-        }
+    concentration: tuple[Concentration, ...]
 
 
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
@@ -140,5 +131,5 @@ def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> A
         bound_bits=float(floats["bound"]),
         bound_drop_one_bits=float(floats["bound_drop_one"]),
         jensen_cap_bits=float(floats["jensen_cap"]) if total else None,
-        concentration=tuple(zip(map(float, deltas), concentration)),
+        concentration=tuple(map(Concentration, map(float, deltas), concentration)),
     )

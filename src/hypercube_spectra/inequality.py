@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,26 +89,19 @@ class ScalarGridSpec:
                 raise ValueError(f"eps values must lie in (0, 1/2), got {e}")
 
 
+class GapPoint(NamedTuple):
+    a: float
+    b: float
+    eps: float
+
+
 @dataclass(frozen=True)
 class SweepResult:
     kind: str
     evaluated: int
     violations: int
     min_gap: float
-    argmin: tuple[float, float, float]  # (a, b, eps)
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "evaluated": self.evaluated,
-            "violations": self.violations,
-            "min_gap": self.min_gap,
-            "argmin": {
-                "a": self.argmin[0],
-                "b": self.argmin[1],
-                "eps": self.argmin[2],
-            },
-        }
+    argmin: GapPoint
 
 
 _GAP_TOLERANCE = 1e-12
@@ -125,7 +119,7 @@ def sweep_gap(kind: str, grid: ScalarGridSpec | None = None) -> SweepResult:
     evaluated = 0
     violations = 0
     min_gap = math.inf
-    argmin = (0.0, 0.0, 0.0)
+    argmin = GapPoint(0.0, 0.0, 0.0)
     for eps in grid.eps_list:
         gaps = _gap_grid(a_flat, b_flat, eps, upper=(kind == "lemma24"))
         evaluated += gaps.size
@@ -133,7 +127,7 @@ def sweep_gap(kind: str, grid: ScalarGridSpec | None = None) -> SweepResult:
         low = int(np.argmin(gaps))
         if gaps[low] < min_gap:
             min_gap = float(gaps[low])
-            argmin = (float(a_flat[low]), float(b_flat[low]), float(eps))
+            argmin = GapPoint(float(a_flat[low]), float(b_flat[low]), float(eps))
     return SweepResult(kind, evaluated, violations, min_gap, argmin)
 
 
@@ -155,7 +149,7 @@ def sweep_gap_random(kind: str, count: int, seed: int) -> SweepResult:
         count,
         violations,
         float(gaps[low]),
-        (float(a[low]), float(b[low]), float(eps[low])),
+        GapPoint(float(a[low]), float(b[low]), float(eps[low])),
     )
 
 
@@ -175,22 +169,6 @@ class Q31Report:
     per_coord: tuple[Q31Coordinate, ...]
     best: Fraction | None
     worst: Fraction | None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "per_coord": [
-                {
-                    "coord": c.coord,
-                    "numerator": str(c.numerator),
-                    "influence": str(c.influence),
-                    "ratio": None if c.ratio is None else str(c.ratio),
-                }
-                for c in self.per_coord
-            ],
-            "best": None if self.best is None else str(self.best),
-            "worst": None if self.worst is None else str(self.worst),
-        }
 
 
 def q31_numerators(magnitude: np.ndarray) -> np.ndarray:
@@ -246,14 +224,6 @@ class LogRatioReport:
     majorant: float  # same sum with sqrt(min*max) in place of the log term
     influence: Fraction
     cap: float  # I_k ln(e / I_k), from the log-sum inequality
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "majorant": self.majorant,
-            "influence": str(self.influence),
-            "cap": self.cap,
-        }
 
 
 def log_ratio_functional(f: BooleanFunction, v1, k: int) -> LogRatioReport:

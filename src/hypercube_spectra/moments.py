@@ -227,18 +227,6 @@ class ChainReport:
     final: float
     telescoped_floor: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "order": list(self.order),
-            "steps": [
-                {"coord": s.coord, "value": s.value, "delta": s.delta, "floor": s.floor}
-                for s in self.steps
-            ],
-            "final": self.final,
-            "telescoped_floor": self.telescoped_floor,
-        }
-
 
 def chain(
     f: BooleanFunction, eps_values: Sequence[float], order: Sequence[int] | None = None

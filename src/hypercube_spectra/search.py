@@ -20,7 +20,7 @@ import struct
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
@@ -86,15 +86,7 @@ class SearchJob:
         return -(-self.total_indices // self.chunk_size)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "metrics": list(self.metrics),
-            "checkpoint_every": self.checkpoint_every,
-            "chunk_size": self.chunk_size,
-        }
+        return asdict(self)
 
     def job_hash(self) -> str:
         canon = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
@@ -117,7 +109,7 @@ class ExtremalRecord:
             "value": self.value,
             "n": self.n,
             "witness": self.witness_hex,
-            "context": self.context.as_dict(),
+            "context": self.context,
         }
 
 

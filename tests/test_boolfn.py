@@ -75,6 +75,7 @@ def test_hex_known_vectors():
     # digit 0 carries input indexes 0..3
     f = BooleanFunction.from_hex(3, "f0")
     assert f.values().tolist() == [-1, -1, -1, -1, 1, 1, 1, 1]
+    assert BooleanFunction.from_hex(3, "F0") == f
 
 
 def test_hex_roundtrip():
@@ -89,6 +90,11 @@ def test_hex_rejects_wrong_width_and_junk():
         BooleanFunction.from_hex(3, "691")
     with pytest.raises(ValueError):
         BooleanFunction.from_hex(3, "g9")
+    # int(text, 16) reads each of these: "_" and "+" as a separator and a
+    # sign, the spaces as padding, and full-width digits as 6 and 9.
+    for n, text in ((4, "6_96"), (4, "696+"), (4, " 96 "), (3, "\uff16\uff19")):
+        with pytest.raises(ValueError, match="invalid hex digits"):
+            BooleanFunction.from_hex(n, text)
 
 
 def test_flip_examples():
@@ -271,6 +277,8 @@ def test_family_spec_errors():
         make_family(FamilySpec.parse("minblock:s=5,t=5"))  # st over the cap
     with pytest.raises(ValueError):
         make_family(FamilySpec.parse("first-even-group:s=1,t=2,fallback=q"))
+    with pytest.raises(ValueError, match="'n' is given twice"):
+        FamilySpec.parse("majority:n=3,n=5")
 
 
 @given(functions())

@@ -499,6 +499,31 @@ def test_search_cli_resume_bad_checkpoint(capsys, tmp_path, content, needle):
     _assert_error_envelope(code, out, needle)
 
 
+def test_search_cli_resume_refuses_loose_table_hex(capsys, tmp_path):
+    # int(..., 16) would read "6_96" as the 3-digit table 0x696.
+    path = tmp_path / "ckpt.json"
+    job = SearchJob(n=4, mode="sample", count=16, seed=1, chunk_size=8)
+    assert run_search(job, checkpoint_path=str(path), max_chunks=1) is None
+    doc = json.loads(path.read_text())
+    for entry in doc["best"].values():
+        entry["table_hex"] = "6_96"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "search", "--resume", "--checkpoint", str(path))
+    _assert_error_envelope(code, out, "invalid hex digits")
+
+
+def test_search_cli_refuses_empty_metrics(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--metrics", "", "--workers", "1")
+    _assert_error_envelope(code, out, "at least one metric is required")
+
+
+def test_cli_refuses_loose_hex_and_repeated_family_parameter(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--fn", "6_96", "--n", "4")
+    _assert_error_envelope(code, out, "invalid hex digits")
+    code, out, _ = run_cli(capsys, "analyze", "--family", "majority:n=3,n=5")
+    _assert_error_envelope(code, out, "'n' is given twice")
+
+
 def test_family_first_even_group_report(capsys):
     code, out, _ = run_cli(
         capsys, "family", "--family", "first-even-group:s=1,t=4", "--emit-hex"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypercube_spectra import (
     parity,
     wht,
 )
+from hypercube_spectra.cli import render_json
 
 LN2 = math.log(2.0)
 
@@ -164,7 +166,8 @@ def test_analyze_report_is_consistent():
     assert report.bound_drop_one_bits <= report.bound_bits
     assert report.entropy_bits <= report.bound_bits
     assert [c for _, c in report.concentration] == [2, 3, 4, 4]
-    d = report.as_dict()
+    assert report.concentration[0] == (0.5, 2)  # a named tuple equals the plain pair
+    d = json.loads(render_json(report))
     assert d["influences"] == ["1/2", "1/2", "1/2"]
     assert d["influence_total"] == "3/2"
 
