@@ -24,6 +24,18 @@ import numpy as np
 MAX_N = 24
 
 _HEX_DIGITS = re.compile("[0-9a-fA-F]*")
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer written as an optional '-' and ASCII digits, nothing else.
+
+    int() alone would also take "_", "+", surrounding whitespace and
+    non-ASCII digits, so "1_1" would read as 11.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def _check_dim(n: int) -> None:
@@ -181,7 +193,7 @@ class FamilySpec:
                     params[key] = val
                 else:
                     try:
-                        params[key] = int(val)
+                        params[key] = parse_int(val)
                     except ValueError:
                         raise ValueError(
                             f"family parameter {key!r} must be an integer, got {val!r}"

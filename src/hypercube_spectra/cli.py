@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .boolfn import MAX_N, BooleanFunction, FamilySpec, from_sign_bits, make_family
+from .boolfn import MAX_N, BooleanFunction, FamilySpec, from_sign_bits, make_family, parse_int
 from .entropy import analyze
 from .inequality import (
     DEFAULT_EPS_LIST,
@@ -47,13 +47,11 @@ from .spectrum import wht
 _VIOLATION_TOL = 1e-9
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); 2 means violation here
-        raise _UsageError(message)
+    def error(self, message):
+        # argparse would exit(2), and 2 means violation here: a usage error
+        # ends in the error envelope, exit 1, like any other bad input.
+        raise ValueError(message)
 
 
 def _fmt_float(x: float) -> str:
@@ -112,7 +110,7 @@ def _fingerprint(f: BooleanFunction) -> dict:
 
 def _add_fn_args(p: _Parser) -> None:
     p.add_argument("--fn", help="truth table as little-endian hex (needs --n)")
-    p.add_argument("--n", type=int, help="dimension for --fn")
+    p.add_argument("--n", type=parse_int, help="dimension for --fn")
     p.add_argument("--family", help="family spec, e.g. parity:s=3,n=3")
 
 
@@ -133,7 +131,7 @@ def _parse_coords(text: str | None, n: int) -> list[int]:
     if text is None or text == "all":
         return list(range(1, n + 1))
     try:
-        return [int(p) for p in text.split(",") if p]
+        return [parse_int(p) for p in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"malformed coordinate list {text!r}") from None
 
@@ -517,7 +515,7 @@ def _resolve_workers(value: int | None) -> int:
             return os.cpu_count() or 1
         name = "HYPERCUBE_SPECTRA_WORKERS"
         try:
-            value = int(env)
+            value = parse_int(env)
         except ValueError:
             raise ValueError(f"{name} must be an integer, got {env!r}") from None
     if value < 1:
@@ -575,51 +573,45 @@ def main(argv=None) -> int:
     vsub = p.add_subparsers(dest="what", required=True)
     for kind in ("lemma24", "eq27"):
         vp = vsub.add_parser(kind)
-        vp.add_argument("--grid", type=int, default=200)
+        vp.add_argument("--grid", type=parse_int, default=200)
         vp.add_argument("--eps", help="eps values: START:STOP:STEP or comma list")
-        vp.add_argument("--random", type=int, help="additional random triples")
-        vp.add_argument("--seed", type=int)
+        vp.add_argument("--random", type=parse_int, help="additional random triples")
+        vp.add_argument("--seed", type=parse_int)
     vp = vsub.add_parser("lemma22")
-    vp.add_argument("--trials", type=int, default=1000)
-    vp.add_argument("--max-n", type=int, default=10)
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--trials", type=parse_int, default=1000)
+    vp.add_argument("--max-n", type=parse_int, default=10)
+    vp.add_argument("--seed", type=parse_int, default=0)
     vp = vsub.add_parser("lemma31")
-    vp.add_argument("--trials", type=int, default=500)
-    vp.add_argument("--max-n", type=int, default=8)
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--trials", type=parse_int, default=500)
+    vp.add_argument("--max-n", type=parse_int, default=8)
+    vp.add_argument("--seed", type=parse_int, default=0)
     vp.add_argument("--eps", help="eps values: START:STOP:STEP or comma list")
     vp = vsub.add_parser("theorem")
-    vp.add_argument("--max-n", type=int, help="exhaustive mode: largest n (default 4)")
-    vp.add_argument("--random", type=int, help="sampled mode: number of functions")
-    vp.add_argument("--n", type=int, help="dimension for --random")
-    vp.add_argument("--seed", type=int)
+    vp.add_argument("--max-n", type=parse_int, help="exhaustive mode: largest n (default 4)")
+    vp.add_argument("--random", type=parse_int, help="sampled mode: number of functions")
+    vp.add_argument("--n", type=parse_int, help="dimension for --random")
+    vp.add_argument("--seed", type=parse_int)
 
     p = sub.add_parser("q31", help="cross-term mass over influence, per coordinate")
     _add_fn_args(p)
 
     p = sub.add_parser("search", help="extremal sweep over truth tables")
     job = {"default": argparse.SUPPRESS}  # only given job flags reach args
-    p.add_argument("--n", type=int, **job)
+    p.add_argument("--n", type=parse_int, **job)
     p.add_argument("--mode", choices=("exhaustive", "sample"), **job)
-    p.add_argument("--count", type=int, **job)
-    p.add_argument("--seed", type=int, **job)
+    p.add_argument("--count", type=parse_int, **job)
+    p.add_argument("--seed", type=parse_int, **job)
     p.add_argument("--metrics", type=_metric_list, help="comma list; default: all", **job)
     p.add_argument("--checkpoint")
     p.add_argument("--resume", action="store_true", help="continue --checkpoint; no job flags")
-    p.add_argument("--checkpoint-every", type=int, **job)
-    p.add_argument("--chunk-size", type=int, **job)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--checkpoint-every", type=parse_int, **job)
+    p.add_argument("--chunk-size", type=parse_int, **job)
+    p.add_argument("--workers", type=parse_int)
 
     p = sub.add_parser("family", help="named family instance report")
     p.add_argument("--family", required=True)
     p.add_argument("--emit-hex", action="store_true")
     p.add_argument("--targets", help="comma list of report sections")
-
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     handlers = {
         "analyze": _cmd_analyze,
@@ -630,6 +622,7 @@ def main(argv=None) -> int:
         "family": _cmd_family,
     }
     try:
+        args = parser.parse_args(argv)
         if args.cmd == "search":
             lines, violated = _cmd_search(args)
             for line in lines:

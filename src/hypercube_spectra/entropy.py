@@ -14,12 +14,33 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import influence_numerators, wht
+from .spectrum import (
+    _GROUP_ENTRIES,
+    influence_marginals,
+    numerators_from_marginals,
+    sign_spectrum,
+)
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 
 DEFAULT_DELTAS = (0.5, 0.25, 0.1, 0.01)
+
+
+def entropy_terms(squared: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """c^2 log2 c^2 per squared integer coefficient, as float64 (into `out` if given).
+
+    Every c^2 <= 2^48 is exact in a double, so the only rounding is in
+    log2 and the product; c^2 in {0, 1} contributes 0 either way.
+    """
+    terms = np.maximum(squared, 1.0, out=out)
+    np.log2(terms, out=terms)
+    return np.multiply(terms, squared, out=terms)
+
+
+def _entropy_bits(n: int, term_sum, top):
+    """(Ent, min-entropy) in bits from sum(c^2 log2 c^2) and max c^2."""
+    return 2.0 * n - term_sum / 4.0**n, 2.0 * n - np.log2(top)
 
 
 def spectral_entropies(
@@ -28,37 +49,43 @@ def spectral_entropies(
     """(Ent(f), min-entropy) in bits from squared integer coefficients.
 
     The last axis holds c_S^2 = 4^n fhat(S)^2, as int64 or float64;
-    leading axes are a batch.  Ent is 2n - sum(c^2 log2 c^2) / 4^n, and
-    every c^2 is exact in a double (c^2 <= 2^48), so the only rounding is
-    in log2 and the sum.  The log is taken in place on one float copy,
-    written into `scratch` (a float64 array of squared's shape) if given.
-    The min-entropy log2(1 / max_S fhat(S)^2) is never above Ent.
+    leading axes are a batch.  Ent is 2n - sum(c^2 log2 c^2) / 4^n; the
+    terms are written into `scratch` (a float64 array of squared's shape)
+    if given.  The min-entropy log2(1 / max_S fhat(S)^2) is never above Ent.
     """
     n = squared.shape[-1].bit_length() - 1
-    terms = np.maximum(squared, 1.0, out=scratch)  # c^2 in {0,1} contributes 0 either way
-    np.log2(terms, out=terms)
-    np.multiply(terms, squared, out=terms)
-    entropy = 2.0 * n - terms.sum(axis=-1) / 4.0**n
-    return entropy, 2.0 * n - np.log2(squared.max(axis=-1))
+    terms = entropy_terms(squared, scratch)
+    return _entropy_bits(n, terms.sum(axis=-1), squared.max(axis=-1))
 
 
-def concentration_count(squared: np.ndarray, deltas: Sequence[float]) -> tuple[int, ...]:
+def concentration_count(magnitudes: np.ndarray, deltas: Sequence[float]) -> tuple[int, ...]:
     """Smallest number of characters whose weight reaches 1 - delta, per delta.
 
-    squared holds the 2^n squared integer coefficients c_S^2 = 4^n fhat(S)^2.
-
-    The count depends only on the weights in decreasing order (which of
-    several equal weights comes first cannot change a cumulative sum), so
-    the weights are sorted once and every delta is a binary search.
+    magnitudes holds the 2^n integer |c_S| = 2^n |fhat(S)|, and is sorted
+    in place.  The count depends only on the weights in decreasing order
+    (which of several equal weights comes first cannot change a
+    cumulative sum), so it is read from the runs of equal magnitudes:
+    whole runs from the top while their weight falls short, then as many
+    members of the next run as the rest needs.
     """
     for delta in deltas:
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    cumulative = np.cumsum(np.sort(squared)[::-1])
+    size = len(magnitudes)
+    magnitudes.sort()
+    starts = np.append(0, np.flatnonzero(magnitudes[1:] != magnitudes[:-1]) + 1)[::-1]
+    values = magnitudes[starts].astype(np.int64)  # one per run, largest first
+    # Characters and weight in the runs above each run, and in all runs.
+    # Exact in int64: a run's weight v^2 * count, and every sum of them,
+    # is at most the total, sum c^2 = 4^n <= 2^48.
+    cum_count = np.append(0, size - starts)
+    cum_weight = np.append(0, np.cumsum(values * values * np.diff(cum_count)))
     thresholds = [Fraction(1) - Fraction(d) for d in deltas]  # exact binary value of delta
-    # cum/4^n >= t, for integer cum, means cum >= ceil(t 4^n), with 4^n = len(squared)^2:
-    need = [-(-t.numerator * len(squared) ** 2 // t.denominator) for t in thresholds]
-    return tuple(int(i) + 1 for i in np.searchsorted(cumulative, need, side="left"))
+    # cum/4^n >= t, for integer cum, means cum >= ceil(t 4^n), with 4^n = size^2:
+    need = np.array([-(-t.numerator * size**2 // t.denominator) for t in thresholds], np.int64)
+    run = np.searchsorted(cum_weight, need) - 1  # the run whose members reach need
+    fill = -((cum_weight[run] - need) // values[run] ** 2)  # ceil(short / v^2) of its members
+    return tuple(int(c) for c in cum_count[run] + fill)
 
 
 def influence_floats(influences: np.ndarray) -> dict[str, np.ndarray]:
@@ -113,16 +140,42 @@ class AnalysisReport:
 
 
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
-    """One-stop spectral report: entropies, influences, bounds, concentration."""
-    squared = wht(f).squared()
-    concentration = concentration_count(squared, deltas)
-    numerators = influence_numerators(squared)
-    entropy, min_entropy = spectral_entropies(squared)
-    scale = 4**f.n
+    """One-stop spectral report: entropies, influences, bounds, concentration.
+
+    The float32 spectrum is read once, in blocks of _GROUP_ENTRIES entries
+    that stay in L2 cache: each block is squared in float64, its entropy
+    terms go into a table-length array, its squares are added to the two
+    influence marginals, and the block is overwritten with its int32 |c|
+    for the concentration sort.  The transform's stage buffers, free by
+    then, hold the entropy terms, whose one sum keeps numpy's pairwise
+    order, as spectral_entropies' does.
+    """
+    # Exact: |c| <= 2^n <= 2^24 fits float32 and int32, c^2 <= 2^48 fits
+    # float64, and the marginals are sums of integers totalling 4^n <= 2^48.
+    n, size = f.n, f.size
+    lo = n // 2
+    block = min(size, _GROUP_ENTRIES)
+    scratch = np.empty(2 * size, dtype=np.float32)
+    coeffs = sign_spectrum(f.bits(), np.empty(size, dtype=np.float32), scratch)
+    terms = scratch.view(np.float64)
+    magnitudes = coeffs.view(np.int32)
+    squared = np.empty(block)
+    by_low, by_high = np.zeros(1 << lo), np.empty(size >> lo)
+    for start in range(0, size, block):
+        part = coeffs[start : start + block]
+        np.square(part, out=squared, dtype=np.float64)
+        entropy_terms(squared, terms[start : start + block])
+        low, by_high[start >> lo : (start + block) >> lo] = influence_marginals(squared, lo)
+        by_low += low
+        magnitudes[start : start + block] = np.abs(part)
+    concentration = concentration_count(magnitudes, deltas)  # sorts the magnitudes
+    entropy, min_entropy = _entropy_bits(n, terms.sum(), int(magnitudes[-1]) ** 2)
+    numerators = numerators_from_marginals(by_low, by_high)
+    scale = 4**n
     floats = influence_floats(numerators / float(scale))
     total = Fraction(int(numerators.sum()), scale)
     return AnalysisReport(
-        n=f.n,
+        n=n,
         entropy_bits=float(entropy),
         min_entropy_bits=float(min_entropy),
         influences=tuple(Fraction(int(v), scale) for v in numerators),

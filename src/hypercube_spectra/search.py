@@ -28,7 +28,7 @@ import numpy as np
 from .boolfn import MAX_N, BooleanFunction
 from .entropy import AnalysisReport, analyze, influence_floats, spectral_entropies
 from .inequality import q31_numerators, q31_worst
-from .spectrum import influence_numerators, sign_spectrum
+from .spectrum import _GROUP_ENTRIES, influence_numerators, sign_spectrum
 
 METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen_slack")
 
@@ -196,12 +196,11 @@ def _sample_bits(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, bitorder="little")[:, :size]
 
 
-# A chunk is swept in row groups of this many table entries (one row if a
-# row is longer): 256 KB per float64 array, so the two table-sized arrays
-# of batch_stats stay in a 2 MB L2 cache from the transform to the entropy
-# logs.  A whole 4096-row chunk at n = 12 streams 128 MB per array through
-# DRAM.  Not a setting: chunk_size alone fixes checkpoints and job_hash.
-_GROUP_ENTRIES = 1 << 15
+# A chunk is swept in row groups of _GROUP_ENTRIES table entries (one row
+# if a row is longer), so the two table-sized arrays of batch_stats stay
+# in L2 cache from the transform to the entropy logs.  A whole 4096-row
+# chunk at n = 12 streams 128 MB per array through DRAM.  chunk_size alone
+# fixes checkpoints and job_hash.
 
 
 def chunk_stats(job: SearchJob, chunk_index: int) -> Iterator[tuple[np.ndarray, dict]]:

@@ -18,6 +18,13 @@ import numpy as np
 from .boolfn import BooleanFunction
 
 
+# Table entries per cache block: 256 KB per float64 array, so a block's
+# arrays stay in a 2 MB L2 cache from one step of a pass to the next.  A
+# search chunk is swept in row groups of this size, and analyze walks one
+# table's spectrum in blocks of it.  Not a setting.
+_GROUP_ENTRIES = 1 << 15
+
+
 def _halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
     """Views (lo, hi) pairing each index S without `bit` with S xor 2^bit.
 
@@ -45,8 +52,9 @@ def sign_spectrum(
     """Integer Walsh-Hadamard coefficients of uint8 sign-bit tables (..., 2^n).
 
     1 marks f(x) = -1, n <= 24, and leading axes are a batch.  The result
-    goes into `out` (float64, bits' shape) or a new int64 array; `scratch`
-    (float32, 2 * bits.size entries) holds the two stage buffers.  The n
+    goes into `out` (float32 or float64, bits' shape; both hold every
+    |c| <= 2^24 exactly) or a new int64 array; `scratch` (float32,
+    2 * bits.size entries) holds the two stage buffers.  The n
     index bits run through ceil(n/6) balanced stages of d <= 6 bits: one
     product H_d @ x^T per row transforms the low d bits and rotates them to
     the top, so the last stage restores the index order.  A single stage
@@ -163,27 +171,56 @@ def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:
     return InfluenceProfile(tuple(_influence(bits, k) for k in range(f.n)))
 
 
+@cache
+def _bit_matrix(m: int) -> np.ndarray:
+    """The 2^m x m float64 matrix whose entry [j, k] is bit k of j; read-only."""
+    j = np.arange(1 << m)
+    bits = ((j[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    bits.setflags(write=False)
+    return bits
+
+
+# The influence sums are exact in int64 and in float64: their terms c^2
+# are integers >= 0 that total 4^n <= 2^48 < 2^53, and the bit products
+# only take each of them 0 or 1 times, so every partial sum is an integer
+# that both hold exactly, whatever order einsum or BLAS (blocking, FMA)
+# picks.
+
+
+def influence_marginals(squared: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(column sums, row sums) of squared coefficients viewed as (..., rows, 2^lo).
+
+    The last axis of `squared` holds whole rows of 2^lo entries; leading
+    axes are a batch.  A table split into blocks of whole rows has the sum
+    of its blocks' column sums and its blocks' row sums in order.
+    """
+    table = squared.reshape(*squared.shape[:-1], -1, 1 << lo)
+    return np.einsum("...ij->...j", table), np.einsum("...ij->...i", table)
+
+
 def influence_numerators(squared: np.ndarray) -> np.ndarray:
     """4^n I_k = sum over S containing k of c_S^2, shape (..., n).
 
     `squared` holds the squared integer coefficients along its last axis,
-    as int64 or float64; any leading axes are a batch.  Viewed as
-    (2^(n-lo), 2^lo) with lo = n // 2, the table is summed once over its
-    rows and once over its columns; bit k-1 of S is a column bit when
-    k <= lo and a row bit otherwise, so each numerator sums half of one
-    short marginal.
+    as int64 or float64; any leading axes are a batch.
     """
-    # Exact in int64 and in float64: the terms c^2 >= 0 are integers that
-    # total 4^n <= 2^48 < 2^53, so every partial sum is an integer that
-    # both hold exactly, and the sums do not depend on einsum's order.
     n = squared.shape[-1].bit_length() - 1
-    lo = n // 2
-    table = squared.reshape(*squared.shape[:-1], 1 << (n - lo), 1 << lo)
-    by_low, by_high = np.einsum("...ij->...j", table), np.einsum("...ij->...i", table)
-    out = np.empty((*squared.shape[:-1], n), dtype=np.int64)
-    for k in range(n):
-        part, bit = (by_low, k) if k < lo else (by_high, k - lo)
-        out[..., k] = np.einsum("...ij->...", _halves(part, bit)[1])
+    return numerators_from_marginals(*influence_marginals(squared, n // 2))
+
+
+def numerators_from_marginals(by_low: np.ndarray, by_high: np.ndarray) -> np.ndarray:
+    """4^n I_k from the marginals of the squared spectrum as (2^(n-lo), 2^lo).
+
+    Bit k-1 of S is a column bit when k <= lo and a row bit otherwise, so
+    each numerator sums the half of one marginal where that bit is set:
+    one product of each marginal by the 0/1 matrix of its index bits
+    (int64 marginals are promoted to float64).
+    """
+    lo = by_low.shape[-1].bit_length() - 1
+    hi = by_high.shape[-1].bit_length() - 1
+    out = np.empty((*by_low.shape[:-1], lo + hi), dtype=np.int64)
+    out[..., :lo] = by_low @ _bit_matrix(lo)
+    out[..., lo:] = by_high @ _bit_matrix(hi)
     return out
 
 

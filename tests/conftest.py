@@ -7,7 +7,22 @@ from itertools import product
 
 import numpy as np
 
-from hypercube_spectra import BooleanFunction, Spectrum, chain, from_sign_bits, lemma22_check
+from hypercube_spectra import (
+    AnalysisReport,
+    BooleanFunction,
+    Spectrum,
+    chain,
+    from_sign_bits,
+    influences_combinatorial,
+    lemma22_check,
+    wht,
+)
+from hypercube_spectra.entropy import (
+    DEFAULT_DELTAS,
+    Concentration,
+    influence_floats,
+    spectral_entropies,
+)
 from hypercube_spectra.search import chunk_stats
 from hypercube_spectra.spectrum import partial_hadamard_inplace
 
@@ -70,6 +85,44 @@ def weighted_degree_sum(spectrum: Spectrum) -> int:
     """sum_S |S| coeffs[S]^2, which equals 4^n times the total influence."""
     sizes = np.bitwise_count(np.arange(1 << spectrum.n, dtype=np.int64))
     return int((sizes * spectrum.squared()).sum())
+
+
+def concentration_oracle(squared: np.ndarray, deltas) -> tuple[int, ...]:
+    """Fewest characters whose weight reaches 1 - delta: one full sort, one cumulative sum."""
+    cumulative = np.cumsum(np.sort(squared)[::-1])
+    thresholds = [Fraction(1) - Fraction(d) for d in deltas]
+    need = [-(-t.numerator * len(squared) ** 2 // t.denominator) for t in thresholds]
+    return tuple(int(i) + 1 for i in np.searchsorted(cumulative, need, side="left"))
+
+
+def analyze_oracle(f: BooleanFunction, deltas=DEFAULT_DELTAS) -> AnalysisReport:
+    """analyze(f) from whole-table passes over the int64 squares.
+
+    The entropies come from one spectral_entropies call over the whole
+    table, the influences from counted edges, the concentration from
+    concentration_oracle.
+    """
+    squared = wht(f).squared()
+    entropy, min_entropy = spectral_entropies(squared)
+    concentration = concentration_oracle(squared, deltas)
+    del squared
+    scale = 4**f.n
+    influences = influences_combinatorial(f).per_coord
+    numerators = np.array([int(v * scale) for v in influences], dtype=np.int64)
+    floats = influence_floats(numerators / float(scale))
+    total = sum(influences, Fraction(0))
+    return AnalysisReport(
+        n=f.n,
+        entropy_bits=float(entropy),
+        min_entropy_bits=float(min_entropy),
+        influences=influences,
+        influence_total=total,
+        term_sum_bits=float(floats["term_sum"]),
+        bound_bits=float(floats["bound"]),
+        bound_drop_one_bits=float(floats["bound_drop_one"]),
+        jensen_cap_bits=float(floats["jensen_cap"]) if total else None,
+        concentration=tuple(map(Concentration, map(float, deltas), concentration)),
+    )
 
 
 def chunk_columns(job, chunk: int) -> tuple[np.ndarray, dict]:

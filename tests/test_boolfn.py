@@ -279,6 +279,10 @@ def test_family_spec_errors():
         make_family(FamilySpec.parse("first-even-group:s=1,t=2,fallback=q"))
     with pytest.raises(ValueError, match="'n' is given twice"):
         FamilySpec.parse("majority:n=3,n=5")
+    for loose in ("1_1", "+3", " 3", "3 ", "\uff13", ""):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FamilySpec.parse(f"majority:n={loose}")
+    assert FamilySpec.parse("parity:s=03,n=-1").params == {"s": 3, "n": -1}
 
 
 @given(functions())

@@ -59,9 +59,10 @@ def test_mutually_exclusive_inputs(capsys):
 
 
 def test_unknown_flag_is_exit_one(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--wat")
+    code, out, err = run_cli(capsys, "analyze", "--wat")
     assert code == 1
     assert err
+    _assert_error_envelope(code, out, "unrecognized arguments: --wat")
 
 
 def test_spectrum_json_and_csv(capsys):
@@ -452,6 +453,48 @@ def test_search_cli_rejects_nonpositive_worker_env(capsys, monkeypatch):
         monkeypatch.setenv("HYPERCUBE_SPECTRA_WORKERS", value)
         code, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "exhaustive")
         _assert_error_envelope(code, out, "HYPERCUBE_SPECTRA_WORKERS must be positive")
+
+
+_LOOSE_INTEGERS = {
+    "family-parameter": (["analyze", "--family", "majority:n=1_1"],
+                         "family parameter 'n' must be an integer, got '1_1'"),
+    "seed-flag": (["verify", "lemma22", "--seed", "1_0"],
+                  "argument --seed: invalid parse_int value: '1_0'"),
+    "signed-order": (["chain", "--family", "majority:n=3", "--eps", "0.25", "--order", "+3,2,1"],
+                     "malformed coordinate list '+3,2,1'"),
+    "empty-coords-piece": (["moments", "--family", "majority:n=3", "--coords", ",,1",
+                            "--eps", "0.1"], "malformed coordinate list ',,1'"),
+    "spaced-dimension": (["analyze", "--fn", "69", "--n", " 3"],
+                         "argument --n: invalid parse_int value: ' 3'"),
+    "non-ascii-workers": (["search", "--n", "2", "--workers", "\uff11"],
+                          "argument --workers: invalid parse_int value"),
+}
+
+
+@pytest.mark.parametrize("case", _LOOSE_INTEGERS)
+def test_cli_refuses_loose_integers(capsys, case):
+    # int() would read these as 11, 10, 3, [1], 3 and 1 and run with exit 0
+    argv, needle = _LOOSE_INTEGERS[case]
+    code, out, _ = run_cli(capsys, *argv)
+    _assert_error_envelope(code, out, needle)
+
+
+def test_cli_refuses_loose_worker_env(capsys, monkeypatch):
+    monkeypatch.setenv("HYPERCUBE_SPECTRA_WORKERS", "1_0")
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "exhaustive")
+    _assert_error_envelope(code, out, "HYPERCUBE_SPECTRA_WORKERS must be an integer")
+
+
+def test_cli_strict_integers_keep_signs_and_empty_coords(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--family", "majority:n=3", "--coords", "",
+                           "--eps", "0.1")
+    assert code == 0
+    assert json.loads(out)["payload"]["coords"] == []
+    code, out, _ = run_cli(capsys, "chain", "--family", "majority:n=3", "--eps", "0.25",
+                           "--order", "3,2,1")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--workers", "-1")
+    _assert_error_envelope(code, out, "--workers must be positive, got -1")
 
 
 def test_search_cli_resume_refuses_format_1_checkpoint(capsys, tmp_path):

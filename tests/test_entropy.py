@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_function
+from conftest import analyze_oracle, concentration_oracle, peak_probe, random_function
 from hypercube_spectra import (
     BooleanFunction,
     analyze,
@@ -16,8 +16,10 @@ from hypercube_spectra import (
     first_even_group,
     influences_spectral,
     majority,
+    make_family,
     minblock,
     parity,
+    tribes,
     wht,
 )
 from hypercube_spectra.cli import render_json
@@ -65,15 +67,19 @@ def test_min_entropy_below_entropy(n, seed):
     assert report.min_entropy_bits <= report.entropy_bits + 1e-12
 
 
+def magnitudes(f):
+    return np.abs(wht(f).coeffs)
+
+
 def test_concentration_examples():
-    assert concentration_count(wht(parity(3)).squared(), (0.5,)) == (1,)
-    assert concentration_count(wht(majority(3)).squared(), (0.3, 0.2)) == (3, 4)
+    assert concentration_count(magnitudes(parity(3)), (0.5,)) == (1,)
+    assert concentration_count(magnitudes(majority(3)), (0.3, 0.2)) == (3, 4)
     # all four weights equal (1/4): need ceil(3/4 / (1/4)) = 3 of them
-    assert concentration_count(wht(and_function(2)).squared(), (0.25,)) == (3,)
+    assert concentration_count(magnitudes(and_function(2)), (0.25,)) == (3,)
 
 
 def test_concentration_monotone_and_validated():
-    s = wht(majority(5)).squared()
+    s = magnitudes(majority(5))
     counts = concentration_count(s, (0.9, 0.5, 0.2, 0.05, 0.01))
     assert list(counts) == sorted(counts)
     with pytest.raises(ValueError):
@@ -83,9 +89,55 @@ def test_concentration_monotone_and_validated():
 
 
 def test_concentration_tie_break_is_deterministic():
-    s = wht(and_function(2)).squared()  # weights 1/4, 1/4, 1/4, 1/4
+    s = magnitudes(and_function(2))  # weights 1/4, 1/4, 1/4, 1/4
     # which of the equal weights come first cannot change the count
     assert concentration_count(s, (0.6,)) == (2,)
+
+
+def test_concentration_on_cumulative_boundaries():
+    # 1 - delta lands exactly on a sum of whole weights: 3/4, 2/4, 1/4 of
+    # and(2)'s four weights 1/4, and inside the second run of majority(3)
+    # (weights 1/4 four times), and inside a run's members for tribes
+    deltas = (0.25, 0.5, 0.6, 0.75)
+    f = and_function(2)
+    assert concentration_count(magnitudes(f), deltas) == (3, 2, 2, 1)
+    for f in (f, majority(3), tribes(2, 3), minblock(2, 3)):
+        squared = wht(f).squared()
+        assert concentration_count(magnitudes(f), deltas) == concentration_oracle(squared, deltas)
+        assert analyze(f, deltas) == analyze_oracle(f, deltas)
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 16, 20])  # 2^15-entry blocks: 2 at n=16, 32 at n=20
+def test_analyze_matches_whole_table_oracle(n):
+    rng = np.random.default_rng(600 + n)
+    for _ in range(6):
+        f = random_function(rng, n)
+        assert analyze(f) == analyze_oracle(f)
+
+
+@pytest.mark.parametrize("label", ["parity", "one-point", "one-point-negated", "tribes:w=4,s=6"])
+def test_analyze_matches_whole_table_oracle_at_n24(label):
+    # the extremes of the n = 24 spectrum: all weight on one character;
+    # c_0 = 2^24 - 2 and every other c_S = -2 (and the negation); tribes'
+    # 2^24 magnitudes in only 7 runs
+    f = {
+        "parity": lambda: parity(24),
+        "one-point": lambda: BooleanFunction(24, 1),
+        "one-point-negated": lambda: BooleanFunction(24, 1).negate(),
+        "tribes:w=4,s=6": lambda: tribes(4, 6),
+    }[label]()
+    report = analyze(f)
+    assert report == analyze_oracle(f)
+    if label == "tribes:w=4,s=6":
+        assert len(np.unique(magnitudes(f))) == 7
+
+
+def test_analyze_n24_runs_in_bounded_memory():
+    # one float32 spectrum, its stage buffers reused for the entropy terms,
+    # and the sign bits; the whole-table int64 passes peaked at 423 MB
+    code, lines, peak_mb = peak_probe("analyze", "--family", "tribes:w=4,s=6")
+    assert (code, lines) == (0, 1)
+    assert peak_mb < 320.0
 
 
 def test_term_sum_examples():
