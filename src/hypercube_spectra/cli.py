@@ -101,11 +101,10 @@ def _envelope(argv, fingerprint, status: str, payload) -> str:
     )
 
 
-def _fingerprint(f: BooleanFunction) -> dict:
-    return {
-        "n": f.n,
-        "table_sha256": hashlib.sha256(f.to_hex().encode()).hexdigest(),
-    }
+def _fingerprint(f: BooleanFunction, text: str | None = None) -> dict:
+    # Any --fn `text` that from_hex accepts is f.to_hex() up to case.
+    text = f.to_hex() if text is None else text.lower()
+    return {"n": f.n, "table_sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def _add_fn_args(p: _Parser) -> None:
@@ -114,16 +113,15 @@ def _add_fn_args(p: _Parser) -> None:
     p.add_argument("--family", help="family spec, e.g. parity:s=3,n=3")
 
 
-def _load_function(args) -> tuple[BooleanFunction, FamilySpec | None]:
+def _load_function(args) -> BooleanFunction:
     if args.family and args.fn:
         raise ValueError("give either --fn or --family, not both")
     if args.family:
-        spec = FamilySpec.parse(args.family)
-        return make_family(spec), spec
+        return make_family(FamilySpec.parse(args.family))
     if args.fn:
         if args.n is None:
             raise ValueError("--fn requires --n")
-        return BooleanFunction.from_hex(args.n, args.fn), None
+        return BooleanFunction.from_hex(args.n, args.fn)
     raise ValueError("an input function is required: --fn HEX --n N or --family SPEC")
 
 
@@ -169,12 +167,12 @@ def _metric_list(text: str) -> tuple[str, ...]:
 
 
 def _cmd_analyze(args):
-    f, _ = _load_function(args)
-    return _fingerprint(f), "ok", analyze(f)
+    f = _load_function(args)
+    return _fingerprint(f, args.fn), "ok", analyze(f)
 
 
 def _cmd_spectrum(args):
-    f, _ = _load_function(args)
+    f = _load_function(args)
     spectrum = wht(f)
     if args.format == "csv":
         lines = ["mask,coeff"]
@@ -185,11 +183,11 @@ def _cmd_spectrum(args):
         "coeffs": [int(c) for c in spectrum.coeffs],
         "parseval_ok": spectrum.parseval_ok(),
     }
-    return _fingerprint(f), "ok", payload
+    return _fingerprint(f, args.fn), "ok", payload
 
 
 def _cmd_moments(args):
-    f, _ = _load_function(args)
+    f = _load_function(args)
     coords = _parse_coords(args.coords, f.n)
     grid = None if args.eps is None else _parse_eps_values(args.eps)
     curve = moment_curve(f, coords, grid)
@@ -197,21 +195,21 @@ def _cmd_moments(args):
         lines = ["eps,value"]
         lines += [f"{_fmt_float(e)},{_fmt_float(v)}" for e, v in zip(curve.eps, curve.values)]
         return None, "ok", "\n".join(lines)
-    return _fingerprint(f), "ok", curve
+    return _fingerprint(f, args.fn), "ok", curve
 
 
 def _cmd_chain(args):
-    f, _ = _load_function(args)
+    f = _load_function(args)
     order = _parse_coords(args.order, f.n) if args.order else None
     (report,) = chain(f, (args.eps,), order=order)
     ok = all(s.delta >= s.floor - _VIOLATION_TOL for s in report.steps)
     ok = ok and report.final >= report.telescoped_floor - _VIOLATION_TOL
-    return _fingerprint(f), ("ok" if ok else "violation"), report
+    return _fingerprint(f, args.fn), ("ok" if ok else "violation"), report
 
 
 def _cmd_q31(args):
-    f, _ = _load_function(args)
-    return _fingerprint(f), "ok", q31_report(wht(f))
+    f = _load_function(args)
+    return _fingerprint(f, args.fn), "ok", q31_report(f)
 
 
 def _verify_scalar(kind: str, args):
@@ -295,9 +293,10 @@ def _trial_batches(args, draw_extra):
 
 
 def _draw_restriction(rng: np.random.Generator, n: int) -> tuple[list[int], int]:
+    # the stream of rng.choice over np.arange(1, n + 1), then over j_set
     size = int(rng.integers(1, n + 1))
-    j_set = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-    return j_set, int(rng.choice(j_set))
+    j_set = sorted((rng.choice(n, size=size, replace=False) + 1).tolist())
+    return j_set, j_set[int(rng.integers(size))]
 
 
 def _verify_lemma22(args):
@@ -623,6 +622,8 @@ def main(argv=None) -> int:
     }
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if args.cmd == "search":
             lines, violated = _cmd_search(args)
             for line in lines:

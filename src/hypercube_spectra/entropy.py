@@ -14,12 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import (
-    _GROUP_ENTRIES,
-    influence_marginals,
-    numerators_from_marginals,
-    sign_spectrum,
-)
+from .spectrum import walk_spectrum
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -142,40 +137,25 @@ class AnalysisReport:
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
     """One-stop spectral report: entropies, influences, bounds, concentration.
 
-    The float32 spectrum is read once, in blocks of _GROUP_ENTRIES entries
-    that stay in L2 cache: each block is squared in float64, its entropy
-    terms go into a table-length array, its squares are added to the two
-    influence marginals, and the block is overwritten with its int32 |c|
-    for the concentration sort.  The transform's stage buffers, free by
-    then, hold the entropy terms, whose one sum keeps numpy's pairwise
+    One walk_spectrum pass: each block's entropy terms go into its spare
+    slice, and the block is overwritten with its int32 |c| for the
+    concentration sort.  The entropy terms' one sum keeps numpy's pairwise
     order, as spectral_entropies' does.
     """
-    # Exact: |c| <= 2^n <= 2^24 fits float32 and int32, c^2 <= 2^48 fits
-    # float64, and the marginals are sums of integers totalling 4^n <= 2^48.
-    n, size = f.n, f.size
-    lo = n // 2
-    block = min(size, _GROUP_ENTRIES)
-    scratch = np.empty(2 * size, dtype=np.float32)
-    coeffs = sign_spectrum(f.bits(), np.empty(size, dtype=np.float32), scratch)
-    terms = scratch.view(np.float64)
+
+    def fill(part, squared, out):
+        entropy_terms(squared, out)
+        part.view(np.int32)[...] = np.abs(part)  # exact: |c| <= 2^24
+
+    coeffs, terms, numerators = walk_spectrum(f, fill)
     magnitudes = coeffs.view(np.int32)
-    squared = np.empty(block)
-    by_low, by_high = np.zeros(1 << lo), np.empty(size >> lo)
-    for start in range(0, size, block):
-        part = coeffs[start : start + block]
-        np.square(part, out=squared, dtype=np.float64)
-        entropy_terms(squared, terms[start : start + block])
-        low, by_high[start >> lo : (start + block) >> lo] = influence_marginals(squared, lo)
-        by_low += low
-        magnitudes[start : start + block] = np.abs(part)
     concentration = concentration_count(magnitudes, deltas)  # sorts the magnitudes
-    entropy, min_entropy = _entropy_bits(n, terms.sum(), int(magnitudes[-1]) ** 2)
-    numerators = numerators_from_marginals(by_low, by_high)
-    scale = 4**n
+    entropy, min_entropy = _entropy_bits(f.n, terms.sum(), int(magnitudes[-1]) ** 2)
+    scale = 4**f.n
     floats = influence_floats(numerators / float(scale))
     total = Fraction(int(numerators.sum()), scale)
     return AnalysisReport(
-        n=n,
+        n=f.n,
         entropy_bits=float(entropy),
         min_entropy_bits=float(min_entropy),
         influences=tuple(Fraction(int(v), scale) for v in numerators),

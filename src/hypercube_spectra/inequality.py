@@ -23,13 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import (
-    Spectrum,
-    _halves,
-    _influence,
-    influence_numerators,
-    partial_hadamard_inplace,
-)
+from .spectrum import _halves, _influence, partial_hadamard_inplace, walk_spectrum
 
 DEFAULT_EPS_LIST = tuple(0.01 + 0.02 * k for k in range(25))  # 0.01 .. 0.49
 
@@ -198,18 +192,21 @@ def q31_worst(q31_num: np.ndarray, influence_num: np.ndarray) -> np.ndarray:
     return ratio.max(axis=-1)
 
 
-def q31_report(spectrum: Spectrum) -> Q31Report:
-    """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k."""
-    scale = 4**spectrum.n
-    numerators = q31_numerators(np.abs(spectrum.coeffs))
-    influences = influence_numerators(spectrum.squared())
+def q31_report(f: BooleanFunction) -> Q31Report:
+    """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k.
+
+    The walk_spectrum pass fills its spare buffer with float64 |c|.
+    """
+    _, magnitudes, influences = walk_spectrum(f, lambda part, _, out: np.abs(part, out=out))
+    numerators = q31_numerators(magnitudes)
+    scale = 4**f.n
     per = []
     for k, (num, inf) in enumerate(zip(numerators.tolist(), influences.tolist()), start=1):
         ratio = Fraction(num, inf) if inf > 0 else None
         per.append(Q31Coordinate(k, Fraction(num, scale), Fraction(inf, scale), ratio))
     defined = [c.ratio for c in per if c.ratio is not None]
     return Q31Report(
-        n=spectrum.n,
+        n=f.n,
         per_coord=tuple(per),
         best=min(defined) if defined else None,
         worst=max(defined) if defined else None,

@@ -20,8 +20,8 @@ from .boolfn import BooleanFunction
 
 # Table entries per cache block: 256 KB per float64 array, so a block's
 # arrays stay in a 2 MB L2 cache from one step of a pass to the next.  A
-# search chunk is swept in row groups of this size, and analyze walks one
-# table's spectrum in blocks of it.  Not a setting.
+# search chunk is swept in row groups of this size, and walk_spectrum
+# reads one table's spectrum in blocks of it.  Not a setting.
 _GROUP_ENTRIES = 1 << 15
 
 
@@ -46,6 +46,19 @@ def _sylvester(d: int) -> np.ndarray:
     return h
 
 
+def stage_widths(n: int) -> list[int]:
+    """Bits per stage of sign_spectrum: balanced, <= 6 each, or <= 3 from n = 20."""
+    # A d-bit stage costs 2^d multiply-adds per entry and one pass over the
+    # row.  Below n = 20 passes are cheap and wide stages as fast or faster;
+    # above, arithmetic dominates (the best WHT split depends on the machine:
+    # Johnson and Pueschel, ICASSP 2000).  Width 6 -> 3, medians of 7 on a
+    # 2-CPU host, OpenBLAS 0.3.31: n = 19 3.5 -> 4.1 ms, n = 20 8.1 -> 7.8,
+    # n = 22 47.6 -> 36.5, n = 24 236 -> 192 (one BLAS thread: n = 22 75.5
+    # -> 47.7, n = 24 500 -> 374 ms); widths 2, 4 and 5 were slower than 3.
+    stages = -(-n // (3 if n >= 20 else 6))
+    return [n * (s + 1) // stages - n * s // stages for s in range(stages)]
+
+
 def sign_spectrum(
     bits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
@@ -55,10 +68,10 @@ def sign_spectrum(
     goes into `out` (float32 or float64, bits' shape; both hold every
     |c| <= 2^24 exactly) or a new int64 array; `scratch` (float32,
     2 * bits.size entries) holds the two stage buffers.  The n
-    index bits run through ceil(n/6) balanced stages of d <= 6 bits: one
-    product H_d @ x^T per row transforms the low d bits and rotates them to
-    the top, so the last stage restores the index order.  A single stage
-    (n <= 6) is x @ H_d over groups of rows.
+    index bits run through the stages of stage_widths(n): a stage of d
+    bits is one product H_d @ x^T per row, which transforms the low d bits
+    and rotates them to the top, so the last stage restores the index
+    order.  A single stage (n <= 6) is x @ H_d over groups of rows.
     """
     # Exact in float32.  After j transformed bits each entry of the +-1
     # table is a sum of 2^j terms +-1, so |x| <= 2^j.  A stage over d more
@@ -68,14 +81,12 @@ def sign_spectrum(
     # 24-bit significand holds.  So every host gets the butterflies' integers.
     size = bits.shape[-1]
     n = size.bit_length() - 1
-    stages = -(-n // 6)
     if scratch is None:
         scratch = np.empty(2 * bits.size, dtype=np.float32)
     src, dst = scratch.reshape(2, -1, size)
     rows = src.shape[0]
     np.subtract(np.float32(1), bits.reshape(rows, size) << 1, out=src)
-    for s in range(stages):
-        d = n * (s + 1) // stages - n * s // stages
+    for d in stage_widths(n):
         block = 1 << d
         if block == size:
             # One stage spans the whole row and rotates nothing.  H_d is
@@ -222,6 +233,32 @@ def numerators_from_marginals(by_low: np.ndarray, by_high: np.ndarray) -> np.nda
     out[..., :lo] = by_low @ _bit_matrix(lo)
     out[..., lo:] = by_high @ _bit_matrix(hi)
     return out
+
+
+def walk_spectrum(f: BooleanFunction, fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over f's float32 spectrum in blocks that stay in L2 cache.
+
+    Each block is squared in float64 and added to the influence marginals;
+    then fill(block, squares, out) may use `out`, the block's slice of the
+    transform's stage buffers, free by then, viewed as 2^n float64 entries.
+    Returns the coefficients and that buffer as the fills left them, and
+    the influence numerators 4^n I_k.
+    """
+    # Exact: |c| <= 2^n <= 2^24 fits float32, c^2 <= 2^48 fits float64,
+    # and the marginals are sums of integers totalling 4^n <= 2^48.
+    size, lo = f.size, f.n // 2
+    block = min(size, _GROUP_ENTRIES)
+    spare = np.empty(size)  # the transform's two float32 stage buffers first
+    coeffs = sign_spectrum(f.bits(), np.empty(size, dtype=np.float32), spare.view(np.float32))
+    squared = np.empty(block)
+    by_low, by_high = np.zeros(1 << lo), np.empty(size >> lo)
+    for start in range(0, size, block):
+        part = coeffs[start : start + block]
+        np.square(part, out=squared, dtype=np.float64)
+        low, by_high[start >> lo : (start + block) >> lo] = influence_marginals(squared, lo)
+        by_low += low
+        fill(part, squared, spare[start : start + block])
+    return coeffs, spare, numerators_from_marginals(by_low, by_high)
 
 
 def influences_spectral(spectrum: Spectrum) -> InfluenceProfile:

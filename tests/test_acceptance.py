@@ -269,7 +269,7 @@ def test_ac8_parity_minblock_exact(capfd):
 
 def test_ac9_and_ratio_and_search(capfd):
     exact = all(
-        q31_report(wht(and_function(n))).worst == Fraction(2) - Fraction(4, 1 << n)
+        q31_report(and_function(n)).worst == Fraction(2) - Fraction(4, 1 << n)
         for n in range(2, 11)
     )
     job = SearchJob(n=3, mode="exhaustive", metrics=("q31_worst",))

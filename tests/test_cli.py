@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hypercube_spectra import SearchJob, cli, lemma22_check, run_search, search
+from hypercube_spectra import BooleanFunction, SearchJob, cli, lemma22_check, run_search, search
 from hypercube_spectra.inequality import SweepResult
 
 from conftest import lemma22_oracle, lemma22_trials, lemma31_oracle, peak_probe
@@ -113,6 +114,23 @@ def test_q31_report(capsys):
     payload = json.loads(out)["payload"]
     assert payload["worst"] == "7/4"
     assert payload["per_coord"][0]["ratio"] == "7/4"
+
+
+@pytest.mark.parametrize("n, text", [(1, "2"), (2, "B"), (5, "DEADBEEF"), (5, "dEaDbEeF")])
+def test_fn_fingerprint_hashes_the_table_in_either_case(capsys, n, text):
+    # from_hex reads either case and to_hex writes lower case, so the
+    # hash of the lower-cased --fn text is the hash of the table
+    expected = hashlib.sha256(BooleanFunction.from_hex(n, text).to_hex().encode()).hexdigest()
+    code, out, _ = run_cli(capsys, "analyze", "--n", str(n), "--fn", text)
+    assert code == 0
+    assert json.loads(out)["input"] == {"n": n, "table_sha256": expected}
+
+
+def test_fn_fingerprint_at_n0_is_never_taken(capsys):
+    # n = 0 is not a dimension: refused before any table is hashed
+    code, out, _ = run_cli(capsys, "analyze", "--n", "0", "--fn", "A")
+    _assert_error_envelope(code, out, "dimension n must be in [1, 24], got 0")
+    assert json.loads(out)["input"] is None
 
 
 def test_verify_lemma24_ok(capsys):
@@ -477,6 +495,25 @@ def test_cli_refuses_loose_integers(capsys, case):
     argv, needle = _LOOSE_INTEGERS[case]
     code, out, _ = run_cli(capsys, *argv)
     _assert_error_envelope(code, out, needle)
+
+
+_NEGATIVE_SEEDS = {
+    "search-sample": ["search", "--n", "3", "--mode", "sample", "--count", "5", "--seed", "-7"],
+    "verify-theorem": ["verify", "theorem", "--random", "5", "--n", "3", "--seed", "-1"],
+    "verify-lemma22": ["verify", "lemma22", "--trials", "3", "--seed", "-3"],
+    "verify-lemma31": ["verify", "lemma31", "--trials", "3", "--seed", "-1"],
+    "verify-lemma24": ["verify", "lemma24", "--random", "3", "--seed", "-1"],
+    "verify-eq27": ["verify", "eq27", "--random", "3", "--seed", "-2"],
+}
+
+
+@pytest.mark.parametrize("case", _NEGATIVE_SEEDS)
+def test_cli_refuses_negative_seed(capsys, case):
+    # numpy's generators take no negative seed; every command refuses one
+    # by the flag's name, before it draws anything
+    argv = _NEGATIVE_SEEDS[case]
+    code, out, _ = run_cli(capsys, *argv)
+    _assert_error_envelope(code, out, f"--seed must be non-negative, got {argv[-1]}")
 
 
 def test_cli_refuses_loose_worker_env(capsys, monkeypatch):

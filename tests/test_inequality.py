@@ -23,7 +23,8 @@ from hypercube_spectra import (
     sweep_gap_random,
     wht,
 )
-from hypercube_spectra.inequality import MAX_GRID_STEPS, SweepResult, _gap_grid
+from hypercube_spectra.inequality import MAX_GRID_STEPS, SweepResult, _gap_grid, q31_numerators
+from hypercube_spectra.spectrum import influence_numerators
 
 
 def test_lemma24_gap_spot_values():
@@ -148,7 +149,7 @@ def brute_q31_numerator(f, k: int) -> Fraction:
 def test_q31_and_function_closed_form():
     # every coordinate of the n-bit And gives exactly 2 - 2^(2-n)
     for n in range(2, 11):
-        report = q31_report(wht(and_function(n)))
+        report = q31_report(and_function(n))
         expected = 2 - Fraction(4, 2**n)
         for entry in report.per_coord:
             assert entry.ratio == expected
@@ -156,12 +157,12 @@ def test_q31_and_function_closed_form():
 
 
 def test_q31_parity_and_dictator():
-    report = q31_report(wht(parity(3)))
+    report = q31_report(parity(3))
     # single nonzero coefficient: no cross terms at all
     for entry in report.per_coord:
         assert entry.numerator == 0
         assert entry.ratio == 0
-    report = q31_report(wht(dictator(3)))
+    report = q31_report(dictator(3))
     assert report.per_coord[0].ratio == 0
     assert report.per_coord[1].ratio is None  # zero influence
     assert report.worst == 0
@@ -170,7 +171,7 @@ def test_q31_parity_and_dictator():
 def test_q31_constant_has_no_defined_ratio():
     from hypercube_spectra import BooleanFunction
 
-    report = q31_report(wht(BooleanFunction(3, 0)))
+    report = q31_report(BooleanFunction(3, 0))
     assert report.best is None and report.worst is None
 
 
@@ -179,7 +180,7 @@ def test_q31_matches_brute_force():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         f = random_function(rng, n)
-        report = q31_report(wht(f))
+        report = q31_report(f)
         prof = influences_spectral(wht(f))
         for k in range(1, n + 1):
             expected = brute_q31_numerator(f, k)
@@ -194,12 +195,26 @@ def test_q31_int64_exact_at_am_gm_ceiling():
     n = 22
     idx = np.arange(1 << n, dtype=np.int64)
     bits = np.bitwise_count(idx & (idx >> 1) & 0x155555) & 1
-    s = wht(from_sign_bits(bits.astype(np.uint8)))
-    assert (np.abs(s.coeffs) == 1 << 11).all()
-    report = q31_report(s)
+    f = from_sign_bits(bits.astype(np.uint8))
+    assert (np.abs(wht(f).coeffs) == 1 << 11).all()
+    report = q31_report(f)
     for entry in report.per_coord:
         assert entry.numerator == entry.influence == Fraction(1, 2)
         assert entry.ratio == 1
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 21])
+def test_q31_report_matches_whole_table_int64_sums(n):
+    # the walker's float64 |c| and per-block marginals against int64 sums
+    # over the whole int64 spectrum; from n = 16 on the walk takes several
+    # blocks, and n = 21 runs the narrow transform stages
+    f = random_function(np.random.default_rng(300 + n), n)
+    coeffs = wht(f).coeffs
+    report = q31_report(f)
+    numerators = q31_numerators(np.abs(coeffs)).tolist()
+    influences = influence_numerators(coeffs * coeffs).tolist()
+    assert [c.numerator * 4**n for c in report.per_coord] == numerators
+    assert [c.influence * 4**n for c in report.per_coord] == influences
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -207,9 +222,8 @@ def test_q31_int64_exact_at_am_gm_ceiling():
 def test_q31_cauchy_schwarz_cap(n, seed):
     # N_k^2 <= I_k (1 - I_k) exactly, so ratios never exceed sqrt((1-I_k)/I_k)
     f = random_function(np.random.default_rng(seed), n)
-    s = wht(f)
-    report = q31_report(s)
-    prof = influences_spectral(s)
+    report = q31_report(f)
+    prof = influences_spectral(wht(f))
     for k in range(1, n + 1):
         ik = prof.per_coord[k - 1]
         nk = report.per_coord[k - 1].numerator

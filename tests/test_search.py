@@ -12,7 +12,6 @@ from hypercube_spectra import (
     q31_report,
     resume_search,
     run_search,
-    wht,
 )
 from hypercube_spectra import cli, search
 from hypercube_spectra.search import METRICS, batch_stats
@@ -49,7 +48,7 @@ def test_exhaustive_n2_known_extremals():
 def _metric_from_reports(metric, f):
     """A search metric rebuilt from the single-function reports."""
     if metric == "q31_worst":
-        return float(q31_report(wht(f)).worst)
+        return float(q31_report(f).worst)
     report = analyze(f)
     total = float(report.influence_total)
     return {

@@ -25,6 +25,7 @@ from hypercube_spectra.spectrum import (
     influence_numerators,
     partial_hadamard_inplace,
     sign_spectrum,
+    stage_widths,
 )
 
 
@@ -76,12 +77,32 @@ def test_batched_transform_matches_butterflies(n):
         assert (out == expected).all()
 
 
-@pytest.mark.parametrize("n", (20, 22, 24))
+@pytest.mark.parametrize("n", range(1, 25))
+def test_stage_plan_covers_every_bit_once(n):
+    # each stage transforms the low d bits of the index and rotates them
+    # to the top: every bit must be transformed once, in the original order
+    widths = stage_widths(n)
+    assert max(widths) <= (3 if n >= 20 else 6)
+    assert len(widths) == -(-n // (3 if n >= 20 else 6))  # balanced: no stage wasted
+    assert max(widths) - min(widths) <= 1
+    labels = list(range(n))
+    transformed = []
+    for d in widths:
+        transformed += labels[:d]
+        labels = labels[d:] + labels[:d]
+    assert sorted(transformed) == list(range(n))
+    assert labels == list(range(n))
+
+
+@pytest.mark.parametrize("n", (20, 21, 22, 24))
 def test_single_table_transform_matches_butterflies(n):
-    # four stages each: of 5 bits at n = 20, of 5 and 6 bits at n = 22,
-    # of 6 bits at n = 24
+    # stages of at most 3 bits: 7 at n = 20 (one of them of 2 bits) and
+    # n = 21, 8 at n = 22 and 24; into int64 (wht) and into float32, as
+    # analyze and q31 take it
     f = random_function(np.random.default_rng(n), n)
-    assert (wht(f).coeffs == butterfly_spectrum(f.bits())).all()
+    expected = butterfly_spectrum(f.bits())
+    assert (wht(f).coeffs == expected).all()
+    assert (sign_spectrum(f.bits(), np.empty(f.size, dtype=np.float32)) == expected).all()
 
 
 def test_transform_is_exact_at_the_n24_ceiling():
@@ -194,7 +215,6 @@ def test_batch_stats_matches_single_function_paths():
         bits = np.stack([f.bits() for f in fns])
         stats = batch_stats(bits)
         for i, f in enumerate(fns):
-            s = wht(f)
             report = analyze(f)
             # one kernel serves both: a batch row equals the single-function report
             assert stats["entropy"][i] == report.entropy_bits
@@ -208,7 +228,7 @@ def test_batch_stats_matches_single_function_paths():
                 ik * 4**n for ik in influences_combinatorial(f).per_coord
             ]
             # both sides are correctly rounded quotients of the same integers
-            assert stats["q31_worst"][i] == float(q31_report(s).worst)
+            assert stats["q31_worst"][i] == float(q31_report(f).worst)
         assert parseval_sums(bits).tolist() == [4**n] * len(fns)
 
 
