@@ -12,7 +12,6 @@ from .boolfn import (
     dictator,
     first_even_group,
     from_sign_bits,
-    from_values,
     majority,
     make_family,
     minblock,
@@ -25,13 +24,11 @@ from .entropy import (
     concentration_count,
 )
 from .inequality import (
-    LogRatioReport,
     Q31Report,
     ScalarGridSpec,
     SweepResult,
     eq27_gap,
     lemma24_gap,
-    log_ratio_functional,
     q31_report,
     sweep_gap,
     sweep_gap_random,
@@ -42,7 +39,6 @@ from .moments import (
     chain,
     entropy_from_moment_derivative,
     lemma22_check,
-    moment,
     moment_curve,
     step_floor,
 )
@@ -59,57 +55,7 @@ from .spectrum import (
     InfluenceProfile,
     Spectrum,
     influences_combinatorial,
-    influences_spectral,
     wht,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MAX_N",
-    "BooleanFunction",
-    "FamilySpec",
-    "and_function",
-    "dictator",
-    "first_even_group",
-    "from_sign_bits",
-    "from_values",
-    "majority",
-    "make_family",
-    "minblock",
-    "parity",
-    "tribes",
-    "AnalysisReport",
-    "analyze",
-    "concentration_count",
-    "LogRatioReport",
-    "Q31Report",
-    "ScalarGridSpec",
-    "SweepResult",
-    "eq27_gap",
-    "lemma24_gap",
-    "log_ratio_functional",
-    "q31_report",
-    "sweep_gap",
-    "sweep_gap_random",
-    "ChainReport",
-    "MomentCurve",
-    "chain",
-    "entropy_from_moment_derivative",
-    "lemma22_check",
-    "moment",
-    "moment_curve",
-    "step_floor",
-    "METRICS",
-    "ExtremalRecord",
-    "SearchJob",
-    "batch_stats",
-    "metric_value",
-    "resume_search",
-    "run_search",
-    "InfluenceProfile",
-    "Spectrum",
-    "influences_combinatorial",
-    "influences_spectral",
-    "wht",
-]

@@ -17,8 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
-
 import numpy as np
 
 MAX_N = 24
@@ -63,12 +61,6 @@ class BooleanFunction:
     def size(self) -> int:
         return 1 << self.n
 
-    def evaluate(self, index: int) -> int:
-        """Value of f at the point encoded by the given input index."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"input index out of range for n={self.n}")
-        return 1 - 2 * ((self.table >> index) & 1)
-
     def bits(self) -> np.ndarray:
         """Truth table as a uint8 array of 0/1 sign bits (1 means f = -1)."""
         raw = self.table.to_bytes((self.size + 7) // 8, "little")
@@ -80,54 +72,6 @@ class BooleanFunction:
 
     def is_constant(self) -> bool:
         return self.table == 0 or self.table == (1 << self.size) - 1
-
-    def flip(self, k: int) -> BooleanFunction:
-        """g(x) = f(x with coordinate k negated)."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"coordinate {k} out of range for n={self.n}")
-        idx = np.arange(self.size, dtype=np.int64) ^ (1 << (k - 1))
-        return from_sign_bits(self.bits()[idx])
-
-    def negate(self) -> BooleanFunction:
-        """-f."""
-        return BooleanFunction(self.n, self.table ^ ((1 << self.size) - 1))
-
-    def permute(self, perm: Sequence[int]) -> BooleanFunction:
-        """Relabel coordinates: new coordinate j reads old coordinate perm[j-1]."""
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise ValueError(f"perm must be a permutation of 1..{self.n}")
-        idx = np.arange(self.size, dtype=np.int64)
-        orig = np.zeros(self.size, dtype=np.int64)
-        for j, old in enumerate(perm):
-            orig |= ((idx >> j) & 1) << (old - 1)
-        return from_sign_bits(self.bits()[orig])
-
-    def restrict(self, free: Iterable[int], assignment: Mapping[int, int]) -> BooleanFunction:
-        """Fix the coordinates outside `free` to the +-1 values in `assignment`.
-
-        The result is a function of the |free| surviving coordinates,
-        relabelled 1..|free| in increasing order of their old labels.
-        """
-        free_sorted = sorted(set(free))
-        if not free_sorted:
-            raise ValueError("free coordinate set must be non-empty")
-        if free_sorted[0] < 1 or free_sorted[-1] > self.n:
-            raise ValueError(f"free coordinates must lie in 1..{self.n}")
-        fixed = set(range(1, self.n + 1)) - set(free_sorted)
-        if set(assignment) != fixed:
-            raise ValueError("assignment must cover exactly the non-free coordinates")
-        base = 0
-        for coord, val in assignment.items():
-            if val not in (-1, 1):
-                raise ValueError("assignment values must be +-1")
-            if val == -1:
-                base |= 1 << (coord - 1)
-        m = len(free_sorted)
-        sub = np.arange(1 << m, dtype=np.int64)
-        orig = np.full(1 << m, base, dtype=np.int64)
-        for j, coord in enumerate(free_sorted):
-            orig |= ((sub >> j) & 1) << (coord - 1)
-        return from_sign_bits(self.bits()[orig])
 
     def to_hex(self) -> str:
         width = (self.size + 3) // 4
@@ -157,14 +101,6 @@ def from_sign_bits(bits: np.ndarray) -> BooleanFunction:
     _check_dim(n)
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
     return BooleanFunction(n, int.from_bytes(packed.tobytes(), "little"))
-
-
-def from_values(values: Sequence[int]) -> BooleanFunction:
-    """Build a function from its +-1 value list, indexed by input index."""
-    arr = np.asarray(values, dtype=np.int64)
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("values must be +-1")
-    return from_sign_bits(((1 - arr) // 2).astype(np.uint8))
 
 
 @dataclass(frozen=True)

@@ -499,8 +499,10 @@ def _family_payload(spec: FamilySpec, f: BooleanFunction, targets: set[str], emi
 def _cmd_family(args):
     spec = FamilySpec.parse(args.family)
     f = make_family(spec)
-    targets = set((args.targets or "influences,limits").split(","))
     known = {"influences", "limits"}
+    if args.targets == "":
+        raise ValueError(f"--targets lists no sections; known: {sorted(known)}")
+    targets = set((args.targets or "influences,limits").split(","))
     if not targets <= known:
         raise ValueError(f"unknown targets {sorted(targets - known)}; known: {sorted(known)}")
     payload = _family_payload(spec, f, targets, args.emit_hex)

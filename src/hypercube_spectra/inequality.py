@@ -1,4 +1,4 @@
-"""Scalar inequalities behind the chain floors, plus spectral-ratio reports.
+"""Scalar inequalities behind the chain floors, plus the q31 cross-term report.
 
 Two scalar facts are swept numerically over [0,1]^2 x (0,1/2).  Writing
 s = (sqrt(b)+sqrt(a))^2 and d = (sqrt(b)-sqrt(a))^2, the quantity
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _halves, _influence, partial_hadamard_inplace, walk_spectrum
+from .spectrum import _halves, walk_spectrum
 
 DEFAULT_EPS_LIST = tuple(0.01 + 0.02 * k for k in range(25))  # 0.01 .. 0.49
 
@@ -212,42 +212,3 @@ def q31_report(f: BooleanFunction) -> Q31Report:
         worst=max(defined) if defined else None,
     )
 
-
-@dataclass(frozen=True)
-class LogRatioReport:
-    """E_x sum_S min log(max/min) over coefficient pairs differing in k."""
-
-    value: float
-    majorant: float  # same sum with sqrt(min*max) in place of the log term
-    influence: Fraction
-    cap: float  # I_k ln(e / I_k), from the log-sum inequality
-
-
-def log_ratio_functional(f: BooleanFunction, v1, k: int) -> LogRatioReport:
-    """Averaged sum of min(u,v) ln(max(u,v)/min(u,v)) over restricted pairs.
-
-    Pairs are squared coefficients of the restriction to V1 + {k} at
-    characters S and S + {k}, averaged over assignments.  The value is
-    capped by I_k ln(e/I_k) and by the sqrt(uv) cross-term majorant.
-    """
-    v = sorted(set(v1))
-    if k in v:
-        raise ValueError(f"coordinate k={k} must not belong to V1")
-    coords = v + [k]
-    if coords and (min(coords) < 1 or max(coords) > f.n):
-        raise ValueError(f"coordinates must lie in 1..{f.n}")
-    m = len(coords)
-    work = partial_hadamard_inplace(f.values(), [c - 1 for c in coords])
-    lo, hi = _halves(work, k - 1)
-    u = lo.astype(np.float64) ** 2 / 4.0**m
-    w = hi.astype(np.float64) ** 2 / 4.0**m
-    small = np.minimum(u, w)
-    large = np.maximum(u, w)
-    pos = small > 0.0
-    scale = 2.0 ** (f.n - m)
-    value = float((small[pos] * np.log(large[pos] / small[pos])).sum()) / scale
-    majorant = float(np.sqrt(small * large).sum()) / scale
-    influence = _influence(f.bits(), k - 1)
-    ik = float(influence)
-    cap = 0.0 if ik == 0.0 else ik * (1.0 - math.log(ik))
-    return LogRatioReport(value=value, majorant=majorant, influence=influence, cap=cap)

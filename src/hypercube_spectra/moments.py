@@ -100,11 +100,6 @@ def moment_curve(
     return MomentCurve(tuple(v), grid, tuple(_power_sums(work, len(v), f.n, grid).tolist()))
 
 
-def moment(f: BooleanFunction, coords: Iterable[int], eps: float) -> float:
-    """M_{V,eps}(f) for V given as 1-based coordinate labels."""
-    return moment_curve(f, coords, (eps,)).values[0]
-
-
 def _butterfly_rows(work: np.ndarray, picked: np.ndarray, bit: int) -> None:
     """One butterfly pass on `bit` over the rows `picked` of work, in place."""
     if picked.size == len(work):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from collections.abc import Iterator
@@ -354,7 +355,10 @@ def resume(
     """Continue a checkpointed job; requires a matching job hash.
 
     A checkpoint that is missing, unreadable, not JSON, of another format,
-    lacking a field or holding a field of the wrong shape raises ValueError.
+    lacking a field or holding a field of the wrong shape or value raises
+    ValueError: best must hold every metric of the job and no other, with
+    a record for all of them or none, a best value must be a finite float,
+    and complete must be the bool next_chunk == total_chunks.
     """
     try:
         with open(checkpoint_path) as fh:
@@ -372,17 +376,27 @@ def resume(
         job = SearchJob(**{**stored, "metrics": tuple(stored["metrics"])})
         if job.job_hash() != doc["job_hash"]:
             raise ValueError("checkpoint job hash does not match its job description")
+        if doc["best"].keys() != set(job.metrics):  # a lost record would end a wrong sweep
+            raise ValueError(f"checkpoint best must hold exactly {', '.join(job.metrics)}")
         best = {}
         for metric in job.metrics:
-            entry = doc["best"].get(metric)
+            entry = doc["best"][metric]
             if entry is not None:
-                entry = (entry["value"], BooleanFunction.from_hex(job.n, entry["table_hex"]).table)
+                value = entry["value"]  # _write_checkpoint writes finite floats only
+                if type(value) is not float or not math.isfinite(value):
+                    raise ValueError(f"checkpoint {metric} value {value!r} is not a finite float")
+                entry = (value, BooleanFunction.from_hex(job.n, entry["table_hex"]).table)
             best[metric] = entry
+        if len({entry is None for entry in best.values()}) > 1:  # a table sets every record
+            raise ValueError("checkpoint best has records for some metrics only")
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"checkpoint {checkpoint_path!r} is malformed: {exc!r}") from None
     cursor = doc["next_chunk"]
     if type(cursor) is not int or not 0 <= cursor <= job.total_chunks:
         raise ValueError(f"checkpoint next_chunk must be an integer in [0, {job.total_chunks}]")
-    if doc["complete"]:
+    done = cursor == job.total_chunks
+    if doc["complete"] is not done:  # the bool _write_checkpoint writes, nothing truthy
+        raise ValueError(f"checkpoint complete must be {str(done).lower()} at next_chunk {cursor}")
+    if done:
         return _finalize(job, best)
     return _sweep(job, best, cursor, checkpoint_path, workers, max_chunks)

@@ -142,11 +142,8 @@ class Spectrum:
             raise ValueError("coefficient array has wrong length")
         self.coeffs.setflags(write=False)
 
-    def squared(self) -> np.ndarray:
-        return self.coeffs * self.coeffs
-
     def parseval_ok(self) -> bool:
-        return int(self.squared().sum()) == 4**self.n
+        return int((self.coeffs * self.coeffs).sum()) == 4**self.n
 
 
 def wht(f: BooleanFunction) -> Spectrum:
@@ -171,15 +168,10 @@ def _changes(bits: np.ndarray, bit: int) -> np.ndarray:
     return np.count_nonzero(lo != hi, axis=(-2, -1))
 
 
-def _influence(bits: np.ndarray, bit: int) -> Fraction:
-    """I_k for k = bit + 1: the share of the 2^(n-1) edges along k where f changes."""
-    return Fraction(int(_changes(bits, bit)), bits.shape[-1] >> 1)
-
-
 def influences_combinatorial(f: BooleanFunction) -> InfluenceProfile:
-    """I_k = P(f changes when coordinate k flips), counted on the table."""
-    bits = f.bits()
-    return InfluenceProfile(tuple(_influence(bits, k) for k in range(f.n)))
+    """I_k = P(f changes when coordinate k flips): the share of the 2^(n-1) edges along k."""
+    bits, edges = f.bits(), f.size >> 1
+    return InfluenceProfile(tuple(Fraction(int(_changes(bits, k)), edges) for k in range(f.n)))
 
 
 @cache
@@ -259,12 +251,4 @@ def walk_spectrum(f: BooleanFunction, fill) -> tuple[np.ndarray, np.ndarray, np.
         by_low += low
         fill(part, squared, spare[start : start + block])
     return coeffs, spare, numerators_from_marginals(by_low, by_high)
-
-
-def influences_spectral(spectrum: Spectrum) -> InfluenceProfile:
-    """I_k = sum over S containing k of fhat(S)^2, from integer coefficients."""
-    scale = 4**spectrum.n
-    return InfluenceProfile(
-        tuple(Fraction(int(v), scale) for v in influence_numerators(spectrum.squared()))
-    )
 

@@ -32,12 +32,24 @@ def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
     return from_sign_bits(bits)
 
 
+def negated(f: BooleanFunction) -> BooleanFunction:
+    """-f: every sign bit of the table flipped."""
+    return BooleanFunction(f.n, f.table ^ ((1 << f.size) - 1))
+
+
+def relabelled(f: BooleanFunction, perm) -> BooleanFunction:
+    """Coordinate j of the result reads coordinate perm[j-1] of f."""
+    index = np.arange(f.size)
+    source = sum(((index >> j) & 1) << (old - 1) for j, old in enumerate(perm))
+    return from_sign_bits(f.bits()[source])
+
+
 def brute_coeff(f: BooleanFunction, mask: int) -> int:
     """sum_x f(x) X_S(x) by direct enumeration."""
     total = 0
-    for i in range(f.size):
+    for i, value in enumerate(f.values().tolist()):
         chi = -1 if bin(i & mask).count("1") % 2 else 1
-        total += f.evaluate(i) * chi
+        total += value * chi
     return total
 
 
@@ -47,6 +59,7 @@ def brute_spectrum(f: BooleanFunction) -> list[int]:
 
 def brute_restrict(f: BooleanFunction, free, assignment) -> BooleanFunction:
     free_sorted = sorted(free)
+    table = f.values().tolist()
     values = []
     for sub in range(1 << len(free_sorted)):
         index = 0
@@ -56,7 +69,7 @@ def brute_restrict(f: BooleanFunction, free, assignment) -> BooleanFunction:
         for coord, val in assignment.items():
             if val == -1:
                 index |= 1 << (coord - 1)
-        values.append(f.evaluate(index))
+        values.append(table[index])
     return BooleanFunction(len(free_sorted), sum(1 << i for i, v in enumerate(values) if v == -1))
 
 
@@ -75,16 +88,15 @@ def brute_moment(f: BooleanFunction, coords, eps: float) -> float:
 
 
 def brute_influence(f: BooleanFunction, k: int) -> Fraction:
-    changed = sum(
-        1 for i in range(f.size) if f.evaluate(i) != f.evaluate(i ^ (1 << (k - 1)))
-    )
+    values = f.values().tolist()
+    changed = sum(1 for i in range(f.size) if values[i] != values[i ^ (1 << (k - 1))])
     return Fraction(changed, f.size)
 
 
 def weighted_degree_sum(spectrum: Spectrum) -> int:
     """sum_S |S| coeffs[S]^2, which equals 4^n times the total influence."""
     sizes = np.bitwise_count(np.arange(1 << spectrum.n, dtype=np.int64))
-    return int((sizes * spectrum.squared()).sum())
+    return int((sizes * spectrum.coeffs**2).sum())
 
 
 def concentration_oracle(squared: np.ndarray, deltas) -> tuple[int, ...]:
@@ -102,7 +114,7 @@ def analyze_oracle(f: BooleanFunction, deltas=DEFAULT_DELTAS) -> AnalysisReport:
     table, the influences from counted edges, the concentration from
     concentration_oracle.
     """
-    squared = wht(f).squared()
+    squared = wht(f).coeffs ** 2
     entropy, min_entropy = spectral_entropies(squared)
     concentration = concentration_oracle(squared, deltas)
     del squared

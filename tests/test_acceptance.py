@@ -15,11 +15,9 @@ from hypercube_spectra.boolfn import (
     and_function,
     first_even_group,
     majority,
-    make_family,
     minblock,
     parity,
 )
-from hypercube_spectra.boolfn import FamilySpec
 from hypercube_spectra.entropy import analyze
 from hypercube_spectra.inequality import (
     ScalarGridSpec,
@@ -32,7 +30,7 @@ from hypercube_spectra.moments import (
     chain,
     entropy_from_moment_derivative,
     lemma22_check,
-    moment,
+    moment_curve,
 )
 from hypercube_spectra.search import (
     SearchJob,
@@ -41,8 +39,8 @@ from hypercube_spectra.search import (
     resume,
 )
 from hypercube_spectra.spectrum import (
+    InfluenceProfile,
     influences_combinatorial,
-    influences_spectral,
     wht,
 )
 
@@ -212,7 +210,7 @@ def test_ac6_entropy_via_derivative(capfd, exhaustive_stats):
 def test_ac7_first_even_group_limits(capfd):
     s, t = 3, 6
     f = first_even_group(s, t)
-    profile = influences_spectral(wht(f))
+    profile = InfluenceProfile(analyze(f).influences)
 
     max_dev = 0.0
     for k in range(1, f.n + 1):
@@ -244,7 +242,7 @@ def test_ac7_first_even_group_limits(capfd):
 def test_ac8_parity_minblock_exact(capfd):
     checks = []
     for f, s in ((parity(3), 3), (parity(2, 5), 2)):
-        profile = influences_spectral(wht(f))
+        profile = InfluenceProfile(analyze(f).influences)
         analysis = analyze(f)
         checks.append(analysis.entropy_bits == 0.0)
         checks.append(profile.total == Fraction(s))
@@ -252,7 +250,7 @@ def test_ac8_parity_minblock_exact(capfd):
     worst_dev = 0.0
     for s, t in ((3, 2), (2, 3)):
         f = minblock(s, t)
-        profile = influences_spectral(wht(f))
+        profile = InfluenceProfile(analyze(f).influences)
         checks.append(all(ik == Fraction(1, 1 << (s - 1)) for ik in profile.per_coord))
         total = float(profile.total)
         dev = abs(analyze(f).term_sum_bits - total * math.log2(f.n / total))
@@ -317,9 +315,8 @@ def test_ac10_identities(capfd, exhaustive_chunks, sampled_chunk):
         n = int(rng.integers(1, 9))
         f = random_function(rng, n)
         coords = list(range(1, n + 1))
-        moment_dev = max(moment_dev, abs(moment(f, [], 0.3) - 1.0))
-        moment_dev = max(moment_dev, abs(moment(f, coords, 0.0) - 1.0))
-        moment_dev = max(moment_dev, abs(moment(f, coords[: n // 2], 0.0) - 1.0))
+        for v, eps in (([], 0.3), (coords, 0.0), (coords[: n // 2], 0.0)):
+            moment_dev = max(moment_dev, abs(moment_curve(f, v, (eps,)).values[0] - 1.0))
     moments_ok = moment_dev <= 1e-12
 
     ok = parseval_ok and minent_ok and weighted_ok and moments_ok

@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_influence,
-    brute_restrict,
+    negated,
     oracle_first_even_group,
     oracle_minblock,
     oracle_tribes,
     random_function,
+    relabelled,
 )
 from hypercube_spectra import (
     BooleanFunction,
     FamilySpec,
+    analyze,
     and_function,
     dictator,
     first_even_group,
-    from_values,
+    from_sign_bits,
     influences_combinatorial,
     majority,
     make_family,
@@ -39,10 +41,11 @@ def functions(draw, max_n: int = 6):
 def test_index_encoding():
     f = dictator(3, k=2)
     # bit 1 of the index set <=> x_2 = -1 <=> f = -1
-    assert f.evaluate(0b000) == 1
-    assert f.evaluate(0b010) == -1
-    assert f.evaluate(0b101) == 1
-    assert f.evaluate(0b111) == -1
+    values = f.values()
+    assert values[0b000] == 1
+    assert values[0b010] == -1
+    assert values[0b101] == 1
+    assert values[0b111] == -1
 
 
 def test_validation():
@@ -60,12 +63,7 @@ def test_values_roundtrip():
     rng = np.random.default_rng(11)
     for n in (1, 3, 7, 10):
         f = random_function(rng, n)
-        assert from_values(f.values().tolist()) == f
-
-
-def test_from_values_rejects_non_signs():
-    with pytest.raises(ValueError):
-        from_values([1, 0, -1, 1])
+        assert from_sign_bits((f.values() < 0).astype(np.uint8)) == f
 
 
 def test_hex_known_vectors():
@@ -97,91 +95,54 @@ def test_hex_rejects_wrong_width_and_junk():
             BooleanFunction.from_hex(n, text)
 
 
-def test_flip_examples():
-    f = dictator(2, k=1)
-    assert f.flip(1) == f.negate()
-    assert f.flip(2) == f
-
-
-@given(functions(), st.data())
-@settings(deadline=None)
-def test_flip_involution_and_commutation(f, data):
-    k = data.draw(st.integers(1, f.n))
-    j = data.draw(st.integers(1, f.n))
-    assert f.flip(k).flip(k) == f
-    assert f.flip(k).flip(j) == f.flip(j).flip(k)
-
-
-def test_restrict_examples():
-    f = parity(2)  # x1 x2
-    assert f.restrict([1], {2: -1}) == dictator(1).negate()
-    assert f.restrict([1], {2: 1}) == dictator(1)
-    g = majority(3).restrict([1, 2], {3: 1})
-    # majority with x3 = +1 is OR-like: -1 only when both remaining are -1
-    assert g.values().tolist() == [1, 1, 1, -1]
-
-
-def test_restrict_matches_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        f = random_function(rng, n)
-        size = int(rng.integers(1, n))
-        free = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-        assignment = {c: int(rng.choice([-1, 1])) for c in range(1, n + 1) if c not in free}
-        assert f.restrict(free, assignment) == brute_restrict(f, free, assignment)
-
-
-def test_restrict_validation():
-    f = majority(3)
-    with pytest.raises(ValueError):
-        f.restrict([], {1: 1, 2: 1, 3: 1})
-    with pytest.raises(ValueError):
-        f.restrict([1, 2], {3: 0})
-    with pytest.raises(ValueError):
-        f.restrict([1, 2], {})
-    with pytest.raises(ValueError):
-        f.restrict([1, 4], {2: 1, 3: 1})
+# relabelled and negated (conftest) build the inputs of the invariance tests
 
 
 @given(functions(max_n=5), st.data())
 @settings(deadline=None)
 def test_permute_preserves_multiset_and_inverts(f, data):
     perm = data.draw(st.permutations(list(range(1, f.n + 1))))
-    g = f.permute(perm)
+    g = relabelled(f, perm)
     assert sorted(g.values().tolist()) == sorted(f.values().tolist())
     inverse = [0] * f.n
     for j, old in enumerate(perm):
         inverse[old - 1] = j + 1
-    assert g.permute(inverse) == f
+    assert relabelled(g, inverse) == f
 
 
 def test_permute_moves_dictator():
-    assert dictator(3, k=1).permute([2, 3, 1]) == dictator(3, k=3)
+    assert relabelled(dictator(3, k=1), [2, 3, 1]) == dictator(3, k=3)
+
+
+@given(functions())
+@settings(deadline=None)
+def test_negate_is_involution(f):
+    assert negated(negated(f)) == f
+    assert (negated(f).values() == -f.values()).all()
 
 
 # -- families ---------------------------------------------------------------
 
 
 def test_parity_definitional():
-    f = parity(2, 4)
+    values = parity(2, 4).values()
     for i in range(16):
         x1 = 1 - 2 * (i & 1)
         x2 = 1 - 2 * ((i >> 1) & 1)
-        assert f.evaluate(i) == x1 * x2
+        assert values[i] == x1 * x2
 
 
 def test_and_definitional():
-    f = and_function(3)
-    assert f.evaluate(0) == 1
-    assert all(f.evaluate(i) == -1 for i in range(1, 8))
+    values = and_function(3).values()
+    assert values[0] == 1
+    assert all(values[i] == -1 for i in range(1, 8))
 
 
 def test_majority_definitional():
-    f = majority(5)
+    values = majority(5).values()
     for i in range(32):
         total = sum(1 - 2 * ((i >> b) & 1) for b in range(5))
-        assert f.evaluate(i) == (1 if total > 0 else -1)
+        assert values[i] == (1 if total > 0 else -1)
     with pytest.raises(ValueError):
         majority(4)
 
@@ -191,39 +152,37 @@ BLOCK_SHAPES = ((2, 3), (1, 1), (1, 5), (5, 1), (3, 2), (1, 4), (4, 1), (2, 2))
 
 def test_minblock_definitional():
     for s, t in BLOCK_SHAPES:
-        f = minblock(s, t)
-        for i in range(f.size):
+        values = minblock(s, t).values()
+        for i in range(len(values)):
             sign = 1
             for p in range(t):
                 block = (i >> (s * p)) & ((1 << s) - 1)
                 sign *= -1 if block else 1  # min over the block
-            assert f.evaluate(i) == sign, (s, t, i)
+            assert values[i] == sign, (s, t, i)
 
 
 def test_minblock_influences_exact():
     # every coordinate has influence 2^(1-s): checked through the spectrum side
-    from hypercube_spectra import influences_spectral, wht
-
     for s, t in ((1, 3), (2, 2), (3, 2)):
         f = minblock(s, t)
-        prof = influences_spectral(wht(f))
-        assert all(ik == pytest.approx(2.0 ** (1 - s)) for ik in map(float, prof.per_coord))
-        assert influences_combinatorial(f).per_coord == prof.per_coord
+        influences = analyze(f).influences
+        assert all(ik == pytest.approx(2.0 ** (1 - s)) for ik in map(float, influences))
+        assert influences_combinatorial(f).per_coord == influences
 
 
 def test_tribes_definitional():
     for w, s in BLOCK_SHAPES:
-        f = tribes(w, s)
-        for i in range(f.size):
+        values = tribes(w, s).values()
+        for i in range(len(values)):
             blocks = [(i >> (w * p)) & ((1 << w) - 1) for p in range(s)]
             is_true = any(b == 0 for b in blocks)  # some AND of w TRUEs
-            assert f.evaluate(i) == (1 if is_true else -1), (w, s, i)
+            assert values[i] == (1 if is_true else -1), (w, s, i)
 
 
 def test_first_even_group_definitional():
     for (s, t), fallback in product(BLOCK_SHAPES, ("t", "n")):
-        f = first_even_group(s, t, fallback)
-        for i in range(f.size):
+        values = first_even_group(s, t, fallback).values()
+        for i in range(len(values)):
             p0 = None
             for p in range(1, t + 1):
                 block = (i >> (s * (p - 1))) & ((1 << s) - 1)
@@ -232,7 +191,7 @@ def test_first_even_group_definitional():
                     break
             if p0 is None:
                 p0 = t if fallback == "t" else s * t
-            assert f.evaluate(i) == (-1) ** p0, (s, t, fallback, i)
+            assert values[i] == (-1) ** p0, (s, t, fallback, i)
 
 
 def test_block_families_match_index_oracles():
@@ -283,13 +242,6 @@ def test_family_spec_errors():
         with pytest.raises(ValueError, match="must be an integer"):
             FamilySpec.parse(f"majority:n={loose}")
     assert FamilySpec.parse("parity:s=03,n=-1").params == {"s": 3, "n": -1}
-
-
-@given(functions())
-@settings(deadline=None)
-def test_negate_is_involution(f):
-    assert f.negate().negate() == f
-    assert (f.negate().values() == -f.values()).all()
 
 
 @given(functions(max_n=4), st.data())

@@ -559,10 +559,21 @@ def test_search_cli_resume_refuses_format_1_checkpoint(capsys, tmp_path):
         (lambda doc: doc.update(best=[]), "is malformed"),
         (lambda doc: doc.update(next_chunk=-3), "next_chunk"),
         (lambda doc: doc.update(format=2), "unsupported checkpoint format 2"),
+        # job_hash covers neither best nor complete:
+        (lambda doc: doc["best"].pop("q31_worst"), "best must hold exactly"),
+        (lambda doc: doc["best"].update(extra=None), "best must hold exactly"),
+        (lambda doc: doc["best"].update(q31_worst=None), "records for some metrics only"),
+        (lambda doc: doc["best"]["ent_over_I"].update(value="abc"), "is not a finite float"),
+        (lambda doc: doc["best"]["jensen_slack"].update(value=[1]), "is not a finite float"),
+        (lambda doc: doc["best"]["q31_worst"].update(value=float("nan")), "is not a finite float"),
+        (lambda doc: doc.update(complete="no"), "complete must be false at next_chunk 1"),
+        (lambda doc: doc.update(complete=True), "complete must be false at next_chunk 1"),
     ],
     ids=[
         "missing", "truncated", "incomplete", "extra-job-key", "no-metrics",
         "string-cursor", "best-list", "negative-cursor", "format-2",
+        "lost-metric", "extra-metric", "lost-record", "string-value", "list-value", "nan-value",
+        "string-complete", "complete-too-early",
     ],
 )
 def test_search_cli_resume_bad_checkpoint(capsys, tmp_path, content, needle):
@@ -631,6 +642,11 @@ def test_family_targets_filter(capsys):
     )
     assert code == 1
     assert "unknown targets" in err
+
+
+def test_family_refuses_empty_targets(capsys):
+    code, out, _ = run_cli(capsys, "family", "--family", "minblock:s=2,t=2", "--targets", "")
+    _assert_error_envelope(code, out, "--targets lists no sections")
 
 
 def test_console_script_is_installed():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analyze_oracle, concentration_oracle, peak_probe, random_function
+from conftest import (
+    analyze_oracle,
+    concentration_oracle,
+    negated,
+    peak_probe,
+    random_function,
+    relabelled,
+)
 from hypercube_spectra import (
     BooleanFunction,
     analyze,
@@ -14,9 +21,7 @@ from hypercube_spectra import (
     concentration_count,
     dictator,
     first_even_group,
-    influences_spectral,
     majority,
-    make_family,
     minblock,
     parity,
     tribes,
@@ -102,7 +107,7 @@ def test_concentration_on_cumulative_boundaries():
     f = and_function(2)
     assert concentration_count(magnitudes(f), deltas) == (3, 2, 2, 1)
     for f in (f, majority(3), tribes(2, 3), minblock(2, 3)):
-        squared = wht(f).squared()
+        squared = wht(f).coeffs ** 2
         assert concentration_count(magnitudes(f), deltas) == concentration_oracle(squared, deltas)
         assert analyze(f, deltas) == analyze_oracle(f, deltas)
 
@@ -123,7 +128,7 @@ def test_analyze_matches_whole_table_oracle_at_n24(label):
     f = {
         "parity": lambda: parity(24),
         "one-point": lambda: BooleanFunction(24, 1),
-        "one-point-negated": lambda: BooleanFunction(24, 1).negate(),
+        "one-point-negated": lambda: negated(BooleanFunction(24, 1)),
         "tribes:w=4,s=6": lambda: tribes(4, 6),
     }[label]()
     report = analyze(f)
@@ -200,13 +205,11 @@ def test_invariance_under_relabelling_and_negation():
         n = int(rng.integers(2, 7))
         f = random_function(rng, n)
         perm = rng.permutation(n) + 1
-        g = f.permute(perm.tolist()).negate()
+        g = negated(relabelled(f, perm.tolist()))
         report_f, report_g = analyze(f), analyze(g)
         assert report_g.entropy_bits == pytest.approx(report_f.entropy_bits, abs=1e-12)
         assert report_g.min_entropy_bits == pytest.approx(report_f.min_entropy_bits, abs=1e-12)
-        assert sorted(influences_spectral(wht(g)).per_coord) == sorted(
-            influences_spectral(wht(f)).per_coord
-        )
+        assert sorted(report_g.influences) == sorted(report_f.influences)
 
 
 def test_analyze_report_is_consistent():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +8,12 @@ from hypothesis import strategies as st
 from conftest import brute_spectrum, random_function
 from hypercube_spectra import (
     ScalarGridSpec,
+    analyze,
     and_function,
     dictator,
     eq27_gap,
     from_sign_bits,
-    influences_spectral,
     lemma24_gap,
-    log_ratio_functional,
-    majority,
     parity,
     q31_report,
     sweep_gap,
@@ -181,12 +178,12 @@ def test_q31_matches_brute_force():
         n = int(rng.integers(1, 5))
         f = random_function(rng, n)
         report = q31_report(f)
-        prof = influences_spectral(wht(f))
+        influences = analyze(f).influences
         for k in range(1, n + 1):
             expected = brute_q31_numerator(f, k)
             assert report.per_coord[k - 1].numerator == expected
-            if prof.per_coord[k - 1] > 0:
-                assert report.per_coord[k - 1].ratio == expected / prof.per_coord[k - 1]
+            if influences[k - 1] > 0:
+                assert report.per_coord[k - 1].ratio == expected / influences[k - 1]
 
 
 def test_q31_int64_exact_at_am_gm_ceiling():
@@ -223,80 +220,9 @@ def test_q31_cauchy_schwarz_cap(n, seed):
     # N_k^2 <= I_k (1 - I_k) exactly, so ratios never exceed sqrt((1-I_k)/I_k)
     f = random_function(np.random.default_rng(seed), n)
     report = q31_report(f)
-    prof = influences_spectral(wht(f))
+    influences = analyze(f).influences
     for k in range(1, n + 1):
-        ik = prof.per_coord[k - 1]
+        ik = influences[k - 1]
         nk = report.per_coord[k - 1].numerator
         assert nk * nk <= ik * (1 - ik)
 
-
-# -- pairwise log-ratio functional -------------------------------------------
-
-
-def test_log_ratio_zero_for_degenerate_pairs():
-    # parity: every restriction has a single unit weight; min is always 0
-    report = log_ratio_functional(parity(3), [2], 1)
-    assert report.value == 0.0
-    report = log_ratio_functional(dictator(3), [2], 3)
-    assert report.value == 0.0
-    assert report.cap == 0.0  # zero influence
-
-
-def test_log_ratio_matches_direct_enumeration():
-    rng = np.random.default_rng(23)
-    for _ in range(15):
-        n = int(rng.integers(2, 6))
-        f = random_function(rng, n)
-        k = int(rng.integers(1, n + 1))
-        others = [c for c in range(1, n + 1) if c != k]
-        size = int(rng.integers(0, len(others) + 1))
-        v1 = sorted(rng.choice(others, size=size, replace=False).tolist())
-        report = log_ratio_functional(f, v1, k)
-
-        coords = sorted(v1 + [k])
-        fixed = [c for c in range(1, n + 1) if c not in coords]
-        pos = coords.index(k)  # restricted functions relabel coordinates
-        total = 0.0
-        cross = 0.0
-        from itertools import product
-
-        from conftest import brute_influence, brute_restrict
-
-        assert report.influence == brute_influence(f, k)
-
-        for choice in product((1, -1), repeat=len(fixed)):
-            g = brute_restrict(f, coords, dict(zip(fixed, choice)))
-            spec = brute_spectrum(g)
-            m = len(coords)
-            for mask in range(1 << m):
-                if mask & (1 << pos):
-                    continue
-                u = (spec[mask] / 2**m) ** 2
-                w = (spec[mask | (1 << pos)] / 2**m) ** 2
-                lo, hi = min(u, w), max(u, w)
-                if lo > 0:
-                    total += lo * math.log(hi / lo)
-                cross += math.sqrt(lo * hi)
-        scale = 2 ** len(fixed)
-        assert report.value == pytest.approx(total / scale, abs=1e-10)
-        assert report.majorant == pytest.approx(cross / scale, abs=1e-10)
-
-
-@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
-@settings(deadline=None, max_examples=40)
-def test_log_ratio_caps_hold(n, seed, data):
-    f = random_function(np.random.default_rng(seed), n)
-    k = data.draw(st.integers(1, n))
-    others = [c for c in range(1, n + 1) if c != k]
-    v1 = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-    report = log_ratio_functional(f, v1, k)
-    assert report.value <= report.cap + 1e-12
-    # x ln(y/x) <= sqrt(xy) for 0 < x <= y, hence the majorant dominates
-    assert report.value <= report.majorant + 1e-12
-
-
-def test_log_ratio_validation():
-    with pytest.raises(ValueError):
-        log_ratio_functional(majority(3), [1, 2], 2)
-    with pytest.raises(ValueError):
-        log_ratio_functional(majority(3), [4], 1)

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_moment, random_function
+from conftest import brute_moment, random_function, relabelled
 from hypercube_spectra import (
     BooleanFunction,
     analyze,
@@ -16,7 +14,6 @@ from hypercube_spectra import (
     lemma22_check,
     majority,
     minblock,
-    moment,
     moment_curve,
     parity,
     step_floor,
@@ -28,34 +25,35 @@ EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)  # the default eps set of `verify 
 def test_moment_conventions():
     rng = np.random.default_rng(2)
     f = random_function(rng, 5)
-    assert moment(f, [], 0.3) == 1.0
-    assert moment(f, [1, 2, 3, 4, 5], 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert moment(f, [2, 4], 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert moment_curve(f, [], (0.3,)).values[0] == 1.0
+    for coords in ([1, 2, 3, 4, 5], [2, 4]):
+        assert moment_curve(f, coords, (0.0,)).values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moment_eps_domain():
     f = majority(3)
     with pytest.raises(ValueError):
-        moment(f, [1], -0.1)
+        moment_curve(f, [1], (-0.1,))
     with pytest.raises(ValueError):
-        moment(f, [1], 0.5)
+        moment_curve(f, [1], (0.5,))
     with pytest.raises(ValueError):
-        moment(f, [1, 1], 0.1)
+        moment_curve(f, [1, 1], (0.1,))
     with pytest.raises(ValueError):
-        moment(f, [0, 1], 0.1)
+        moment_curve(f, [0, 1], (0.1,))
 
 
 def test_majority3_closed_form():
     # all four nonzero weights are 1/4, so M = 4^(-eps) for the full cube
     f = majority(3)
     for eps in (0.1, 0.25, 0.4, 0.49):
-        assert moment(f, [1, 2, 3], eps) == pytest.approx(4.0 ** (-eps), abs=1e-12)
+        (value,) = moment_curve(f, [1, 2, 3], (eps,)).values
+        assert value == pytest.approx(4.0 ** (-eps), abs=1e-12)
 
 
 def test_parity_moment_is_one_for_every_v():
     f = parity(3)
     for coords in ([1], [2, 3], [1, 2, 3], [1, 3]):
-        assert moment(f, coords, 0.3) == pytest.approx(1.0, abs=1e-12)
+        assert moment_curve(f, coords, (0.3,)).values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moment_matches_restriction_by_restriction_oracle():
@@ -66,7 +64,8 @@ def test_moment_matches_restriction_by_restriction_oracle():
         size = int(rng.integers(1, n + 1))
         coords = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
         eps = float(rng.uniform(0.0, 0.499))
-        assert moment(f, coords, eps) == pytest.approx(brute_moment(f, coords, eps), abs=1e-10)
+        (value,) = moment_curve(f, coords, (eps,)).values
+        assert value == pytest.approx(brute_moment(f, coords, eps), abs=1e-10)
 
 
 def test_moment_invariant_under_relabelling_and_dummy_coordinates():
@@ -74,11 +73,12 @@ def test_moment_invariant_under_relabelling_and_dummy_coordinates():
     f = random_function(rng, 4)
     # embed f in 5 coordinates; coordinate 5 is dummy
     g = BooleanFunction(5, sum(((f.table >> i) & 1) << i for i in range(16)) | (f.table << 16))
-    assert moment(g, [1, 2], 0.2) == pytest.approx(moment(f, [1, 2], 0.2), abs=1e-12)
+    (base,) = moment_curve(f, [1, 2], (0.2,)).values
+    assert moment_curve(g, [1, 2], (0.2,)).values[0] == pytest.approx(base, abs=1e-12)
     perm = [3, 1, 2, 4]
-    h = f.permute(perm)
+    h = relabelled(f, perm)
     # coordinate j of h reads perm[j-1] of f
-    assert moment(h, [2, 3], 0.2) == pytest.approx(moment(f, [1, 2], 0.2), abs=1e-12)
+    assert moment_curve(h, [2, 3], (0.2,)).values[0] == pytest.approx(base, abs=1e-12)
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
@@ -155,7 +155,7 @@ def test_chain_respects_order_and_validates():
     f = majority(3)
     (report,) = chain(f, (0.2,), order=[3, 1, 2])
     assert [s.coord for s in report.steps] == [3, 1, 2]
-    assert report.final == pytest.approx(moment(f, [1, 2, 3], 0.2), abs=1e-12)
+    assert report.final == pytest.approx(moment_curve(f, [1, 2, 3], (0.2,)).values[0], abs=1e-12)
     with pytest.raises(ValueError):
         chain(f, (0.2,), order=[1, 2])
     with pytest.raises(ValueError):
@@ -175,7 +175,8 @@ def test_chain_final_matches_direct_moment():
         f = random_function(rng, n)
         eps = float(rng.uniform(0.01, 0.49))
         (report,) = chain(f, (eps,))
-        assert report.final == pytest.approx(moment(f, range(1, n + 1), eps), abs=1e-12)
+        (value,) = moment_curve(f, range(1, n + 1), (eps,)).values
+        assert report.final == pytest.approx(value, abs=1e-12)
 
 
 def test_chain_floor_holds_on_random_orders():

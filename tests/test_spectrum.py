@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 from conftest import (
     brute_spectrum,
     butterfly_spectrum,
+    negated,
     parseval_sums,
     random_function,
+    relabelled,
     weighted_degree_sum,
 )
 from hypercube_spectra import (
     BooleanFunction,
+    analyze,
     and_function,
     batch_stats,
     dictator,
     influences_combinatorial,
-    influences_spectral,
     majority,
     parity,
     wht,
@@ -115,7 +117,7 @@ def test_transform_is_exact_at_the_n24_ceiling():
     # the one-point function (-1 at x = 0 only) and its negation:
     # c_empty = +-(2^24 - 2) lies in float32's top binade, where adjacent
     # floats are 1 apart, and c_S = -+2 for every other S
-    for f, sign in ((BooleanFunction(24, 1), 1), (BooleanFunction(24, 1).negate(), -1)):
+    for f, sign in ((BooleanFunction(24, 1), 1), (negated(BooleanFunction(24, 1)), -1)):
         coeffs = wht(f).coeffs
         assert coeffs[0] == sign * ((1 << 24) - 2)
         assert (coeffs[1:] == -2 * sign).all()
@@ -130,8 +132,7 @@ def test_parseval_all_n3_tables():
 @settings(deadline=None, max_examples=60)
 def test_parseval_random(n, seed):
     f = random_function(np.random.default_rng(seed), n)
-    s = wht(f)
-    assert int(s.squared().sum()) == 4**n
+    assert int((wht(f).coeffs ** 2).sum()) == 4**n
 
 
 def test_partial_transform_composes_to_full():
@@ -161,7 +162,7 @@ def test_influence_defs_agree_exhaustively_n_le_3():
     for n in (1, 2, 3):
         for table in range(1 << (1 << n)):
             f = BooleanFunction(n, table)
-            assert influences_combinatorial(f).per_coord == influences_spectral(wht(f)).per_coord
+            assert influences_combinatorial(f).per_coord == analyze(f).influences
 
 
 def test_influence_defs_agree_random():
@@ -169,7 +170,7 @@ def test_influence_defs_agree_random():
     for _ in range(200):
         n = int(rng.integers(4, 11))
         f = random_function(rng, n)
-        assert influences_combinatorial(f).per_coord == influences_spectral(wht(f)).per_coord
+        assert influences_combinatorial(f).per_coord == analyze(f).influences
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -191,7 +192,7 @@ def test_influence_numerators_match_per_coordinate_sums(n):
 
 def test_influence_numerators_at_the_n24_ceiling():
     # parity(24) puts all 4^24 of its weight on S = [24], which holds every k
-    assert influence_numerators(wht(parity(24)).squared()).tolist() == [4**24] * 24
+    assert influence_numerators(wht(parity(24)).coeffs ** 2).tolist() == [4**24] * 24
 
 
 def test_weighted_degree_sum_identity():
@@ -242,6 +243,6 @@ def test_batch_stats_invariant_under_relabelling():
         fns = [random_function(rng, n) for _ in range(30)]
         perms = [(rng.permutation(n) + 1).tolist() for _ in fns]
         stats = batch_stats(np.stack([f.bits() for f in fns]))
-        moved = batch_stats(np.stack([f.permute(p).bits() for f, p in zip(fns, perms)]))
+        moved = batch_stats(np.stack([relabelled(f, p).bits() for f, p in zip(fns, perms)]))
         for column in columns:
             assert stats[column].tolist() == moved[column].tolist(), column
