@@ -42,7 +42,7 @@ from .moments import (
 )
 from .search import SearchJob, chunk_stats, metric_columns
 from . import search as search_mod
-from .spectrum import wht
+from .spectrum import group_rows, wht
 
 _VIOLATION_TOL = 1e-9
 
@@ -221,11 +221,12 @@ def _verify_scalar(kind: str, args):
     elif args.seed is not None:
         raise ValueError("--seed needs --random; drop --seed")
     grid = ScalarGridSpec(args.grid, _parse_eps_values(args.eps))
+    # the random sweep first: an oversized --random is refused before the grid runs
+    rand = None if args.random is None else sweep_gap_random(kind, args.random, args.seed)
     result = sweep_gap(kind, grid)
     payload = {"grid": result, "tolerance": 1e-12}
     violations = result.violations
-    if args.random is not None:
-        rand = sweep_gap_random(kind, args.random, args.seed)
+    if rand is not None:
         payload["random"] = rand
         violations += rand.violations
     return None, ("ok" if violations == 0 else "violation"), payload
@@ -256,9 +257,9 @@ def _trial_batches(args, draw_extra):
     table's bytes, then draw_extra(rng, n).  A block of trials ends after
     _TRIAL_BLOCK trials or once its tables hold _BLOCK_ENTRIES entries; its
     trials are grouped by n, and each group is yielded in batches of at most
-    search._GROUP_ENTRIES table entries (one row when a table is larger),
-    as (n, trial indices, sign bits (rows, 2^n), extras) with rows in trial
-    order.  Callers check the sweep flags first (_check_trials).
+    group_rows(n) tables, as (n, trial indices, sign bits (rows, 2^n),
+    extras) with rows in trial order.  Callers check the sweep flags first
+    (_check_trials).
     """
     rng = np.random.default_rng(args.seed)
     drawn = 0
@@ -283,7 +284,7 @@ def _trial_batches(args, draw_extra):
             if entries >= _BLOCK_ENTRIES:
                 break
         for n, trials in sorted(groups.items()):
-            rows = max(1, search_mod._GROUP_ENTRIES >> n)
+            rows = group_rows(n)
             width = (1 << n) // 8 or 1
             for start in range(0, len(trials), rows):
                 indices, offsets, extras = zip(*trials[start : start + rows])

@@ -38,21 +38,6 @@ def _entropy_bits(n: int, term_sum, top):
     return 2.0 * n - term_sum / 4.0**n, 2.0 * n - np.log2(top)
 
 
-def spectral_entropies(
-    squared: np.ndarray, scratch: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Ent(f), min-entropy) in bits from squared integer coefficients.
-
-    The last axis holds c_S^2 = 4^n fhat(S)^2, as int64 or float64;
-    leading axes are a batch.  Ent is 2n - sum(c^2 log2 c^2) / 4^n; the
-    terms are written into `scratch` (a float64 array of squared's shape)
-    if given.  The min-entropy log2(1 / max_S fhat(S)^2) is never above Ent.
-    """
-    n = squared.shape[-1].bit_length() - 1
-    terms = entropy_terms(squared, scratch)
-    return _entropy_bits(n, terms.sum(axis=-1), squared.max(axis=-1))
-
-
 def concentration_count(magnitudes: np.ndarray, deltas: Sequence[float]) -> tuple[int, ...]:
     """Smallest number of characters whose weight reaches 1 - delta, per delta.
 
@@ -137,17 +122,17 @@ class AnalysisReport:
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
     """One-stop spectral report: entropies, influences, bounds, concentration.
 
-    One walk_spectrum pass: each block's entropy terms go into its spare
-    slice, and the block is overwritten with its int32 |c| for the
-    concentration sort.  The entropy terms' one sum keeps numpy's pairwise
-    order, as spectral_entropies' does.
+    A walk_spectrum pass of one row: each block's entropy terms go into
+    its spare slice, and the block is overwritten with its int32 |c| for
+    the concentration sort.  The entropy terms' one sum keeps numpy's
+    pairwise order, as batch_stats' does.
     """
 
     def fill(part, squared, out):
         entropy_terms(squared, out)
         part.view(np.int32)[...] = np.abs(part)  # exact: |c| <= 2^24
 
-    coeffs, terms, numerators = walk_spectrum(f, fill)
+    (coeffs,), (terms,), (numerators,) = walk_spectrum(f.bits()[None], fill)
     magnitudes = coeffs.view(np.int32)
     concentration = concentration_count(magnitudes, deltas)  # sorts the magnitudes
     entropy, min_entropy = _entropy_bits(f.n, terms.sum(), int(magnitudes[-1]) ** 2)

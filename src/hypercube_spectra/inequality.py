@@ -125,12 +125,19 @@ def sweep_gap(kind: str, grid: ScalarGridSpec | None = None) -> SweepResult:
     return SweepResult(kind, evaluated, violations, min_gap, argmin)
 
 
+MAX_RANDOM_TRIPLES = 1 << 21  # about one eps of the largest grid (198 MB peak at 2^21)
+
+
 def sweep_gap_random(kind: str, count: int, seed: int) -> SweepResult:
     """Same check on seeded random triples (a, b, eps)."""
     if kind not in ("lemma24", "eq27"):
         raise ValueError(f"unknown gap kind {kind!r}")
     if count < 1:
         raise ValueError("count must be positive")
+    if count > MAX_RANDOM_TRIPLES:
+        raise ValueError(
+            f"random sweeps take at most {MAX_RANDOM_TRIPLES} triples (--random), got {count}"
+        )
     rng = np.random.default_rng(seed)
     a = rng.random(count)
     b = a + (1.0 - a) * rng.random(count)
@@ -195,9 +202,11 @@ def q31_worst(q31_num: np.ndarray, influence_num: np.ndarray) -> np.ndarray:
 def q31_report(f: BooleanFunction) -> Q31Report:
     """Exact N_k = sum_{S not cont. k} |fhat(S) fhat(S+k)| and N_k / I_k.
 
-    The walk_spectrum pass fills its spare buffer with float64 |c|.
+    A walk_spectrum pass of one row fills its spare buffer with float64 |c|.
     """
-    _, magnitudes, influences = walk_spectrum(f, lambda part, _, out: np.abs(part, out=out))
+    _, (magnitudes,), (influences,) = walk_spectrum(
+        f.bits()[None], lambda part, _, out: np.abs(part, out=out)
+    )
     numerators = q31_numerators(magnitudes)
     scale = 4**f.n
     per = []

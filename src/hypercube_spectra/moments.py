@@ -42,9 +42,11 @@ def _check_eps(eps: float) -> None:
 
 
 def check_chain_eps(eps_values: Sequence[float]) -> None:
-    """Refuse an eps list the chain cannot take: empty, or a value outside (0, 1/2)."""
+    """Refuse an eps list the chain cannot take: empty, repeated, or a value outside (0, 1/2)."""
     if not eps_values:
         raise ValueError("the chain needs at least one eps")
+    if len(set(eps_values)) != len(eps_values):  # each chain would be counted twice
+        raise ValueError("the chain's eps values must not repeat")
     for eps in eps_values:
         _check_eps(eps)
         if eps == 0.0:

@@ -27,9 +27,9 @@ from itertools import repeat
 import numpy as np
 
 from .boolfn import MAX_N, BooleanFunction
-from .entropy import AnalysisReport, analyze, influence_floats, spectral_entropies
+from .entropy import AnalysisReport, _entropy_bits, analyze, entropy_terms, influence_floats
 from .inequality import q31_numerators, q31_worst
-from .spectrum import _GROUP_ENTRIES, influence_numerators, sign_spectrum
+from .spectrum import group_rows, walk_spectrum
 
 METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen_slack")
 
@@ -119,23 +119,19 @@ def batch_stats(bits: np.ndarray, scratch: np.ndarray | None = None) -> dict[str
 
     Influence numerators stay integral; everything else is float.  Rows
     for constant functions carry zeros in the ratio columns and False in
-    'nonconstant'.  Every table-sized array of the call lives in
-    `scratch`, a float64 array of 2 * bits.size entries, if given: a
-    sweep passes one buffer to each of its groups, so no group allocates
-    (and page-faults in) fresh memory.
+    'nonconstant'.  One walk_spectrum pass, in `scratch` if given (sized
+    as the walk says), writes the entropy terms; then one float64 |c| pass
+    gives each row's largest |c|, for the min-entropy, and the q31 sums.
     """
-    # The coefficients, their squares and magnitudes are integers below
-    # 2^53 (|c| <= 2^n, c^2 <= 2^48), so float64 holds them exactly; the
-    # kernels below sum them exactly in float64 too (see each kernel).
     n = bits.shape[-1].bit_length() - 1
-    if scratch is None:
-        scratch = np.empty(2 * bits.size)
-    coeffs, spare = scratch.reshape(2, *bits.shape)
-    sign_spectrum(bits, coeffs, spare.view(np.float32))
-    squared = np.multiply(coeffs, coeffs, out=spare)
-    inf_num = influence_numerators(squared)
-    worst = q31_worst(q31_numerators(np.abs(coeffs, out=coeffs)), inf_num)
-    entropy, min_entropy = spectral_entropies(squared, coeffs)
+    coeffs, spare, inf_num = walk_spectrum(
+        bits, lambda _, squared, out: entropy_terms(squared, out), scratch
+    )
+    term_sum = spare.sum(axis=-1)
+    magnitudes = np.abs(coeffs, out=spare)  # exact: |c| <= 2^24
+    top = magnitudes.max(axis=-1)
+    entropy, min_entropy = _entropy_bits(n, term_sum, top * top)
+    worst = q31_worst(q31_numerators(magnitudes), inf_num)
     floats = influence_floats(inf_num / 4.0**n)
     return {
         "nonconstant": floats["total"] > 0.0,
@@ -197,11 +193,10 @@ def _sample_bits(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, bitorder="little")[:, :size]
 
 
-# A chunk is swept in row groups of _GROUP_ENTRIES table entries (one row
-# if a row is longer), so the two table-sized arrays of batch_stats stay
-# in L2 cache from the transform to the entropy logs.  A whole 4096-row
-# chunk at n = 12 streams 128 MB per array through DRAM.  chunk_size alone
-# fixes checkpoints and job_hash.
+# A chunk is swept in row groups of group_rows(n) tables, so the
+# table-sized arrays of batch_stats stay in L2 cache from the transform to
+# the entropy logs.  A whole 4096-row chunk at n = 12 streams 128 MB per
+# array through DRAM.  chunk_size alone fixes checkpoints and job_hash.
 
 
 def chunk_stats(job: SearchJob, chunk_index: int) -> Iterator[tuple[np.ndarray, dict]]:
@@ -212,15 +207,15 @@ def chunk_stats(job: SearchJob, chunk_index: int) -> Iterator[tuple[np.ndarray, 
     """
     first = chunk_index * job.chunk_size
     stop = min(first + job.chunk_size, job.total_indices)
-    rows = max(1, _GROUP_ENTRIES >> job.n)
-    scratch = np.empty(2 * (min(rows, stop - first) << job.n))
+    rows = group_rows(job.n)
+    scratch = np.empty(3 * (min(rows, stop - first) << job.n) // 2)
     for start in range(first, stop, rows):
         end = min(start + rows, stop)
         if job.mode == "exhaustive":
             bits = _exhaustive_bits(job.n, start, end)
         else:
             bits = _sample_bits(job.n, job.seed, start, end)
-        yield bits, batch_stats(bits, scratch[: 2 * bits.size])
+        yield bits, batch_stats(bits, scratch)
 
 
 def _smallest_table(bits: np.ndarray) -> int:

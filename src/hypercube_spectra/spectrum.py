@@ -19,9 +19,9 @@ from .boolfn import BooleanFunction
 
 
 # Table entries per cache block: 256 KB per float64 array, so a block's
-# arrays stay in a 2 MB L2 cache from one step of a pass to the next.  A
-# search chunk is swept in row groups of this size, and walk_spectrum
-# reads one table's spectrum in blocks of it.  Not a setting.
+# arrays stay in a 2 MB L2 cache from one step of a pass to the next.
+# walk_spectrum reads spectra in blocks of it, and the sweeps hand it row
+# groups of as many entries (group_rows).  Not a setting.
 _GROUP_ENTRIES = 1 << 15
 
 
@@ -183,72 +183,55 @@ def _bit_matrix(m: int) -> np.ndarray:
     return bits
 
 
-# The influence sums are exact in int64 and in float64: their terms c^2
-# are integers >= 0 that total 4^n <= 2^48 < 2^53, and the bit products
-# only take each of them 0 or 1 times, so every partial sum is an integer
-# that both hold exactly, whatever order einsum or BLAS (blocking, FMA)
-# picks.
+def group_rows(n: int) -> int:
+    """Tables of 2^n entries in one cache block: _GROUP_ENTRIES entries' worth, or one."""
+    return max(1, _GROUP_ENTRIES >> n)
 
 
-def influence_marginals(squared: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """(column sums, row sums) of squared coefficients viewed as (..., rows, 2^lo).
+def walk_spectrum(
+    bits: np.ndarray, fill, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the float32 spectra of sign-bit tables (rows, 2^n) in L2-sized blocks.
 
-    The last axis of `squared` holds whole rows of 2^lo entries; leading
-    axes are a batch.  A table split into blocks of whole rows has the sum
-    of its blocks' column sums and its blocks' row sums in order.
-    """
-    table = squared.reshape(*squared.shape[:-1], -1, 1 << lo)
-    return np.einsum("...ij->...j", table), np.einsum("...ij->...i", table)
-
-
-def influence_numerators(squared: np.ndarray) -> np.ndarray:
-    """4^n I_k = sum over S containing k of c_S^2, shape (..., n).
-
-    `squared` holds the squared integer coefficients along its last axis,
-    as int64 or float64; any leading axes are a batch.
-    """
-    n = squared.shape[-1].bit_length() - 1
-    return numerators_from_marginals(*influence_marginals(squared, n // 2))
-
-
-def numerators_from_marginals(by_low: np.ndarray, by_high: np.ndarray) -> np.ndarray:
-    """4^n I_k from the marginals of the squared spectrum as (2^(n-lo), 2^lo).
-
-    Bit k-1 of S is a column bit when k <= lo and a row bit otherwise, so
-    each numerator sums the half of one marginal where that bit is set:
-    one product of each marginal by the 0/1 matrix of its index bits
-    (int64 marginals are promoted to float64).
-    """
-    lo = by_low.shape[-1].bit_length() - 1
-    hi = by_high.shape[-1].bit_length() - 1
-    out = np.empty((*by_low.shape[:-1], lo + hi), dtype=np.int64)
-    out[..., :lo] = by_low @ _bit_matrix(lo)
-    out[..., lo:] = by_high @ _bit_matrix(hi)
-    return out
-
-
-def walk_spectrum(f: BooleanFunction, fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over f's float32 spectrum in blocks that stay in L2 cache.
-
-    Each block is squared in float64 and added to the influence marginals;
-    then fill(block, squares, out) may use `out`, the block's slice of the
-    transform's stage buffers, free by then, viewed as 2^n float64 entries.
-    Returns the coefficients and that buffer as the fills left them, and
-    the influence numerators 4^n I_k.
+    A block is group_rows(n) whole tables (the last may hold fewer) or a
+    _GROUP_ENTRIES slice of one table.  Each block is squared in float64
+    and added to its tables' influence marginals; then fill(block,
+    squares, out) may use `out`, the block's slice of the transform's
+    stage buffers, free by then, viewed as float64 entries.  The stage
+    buffers, then the coefficients, live in `scratch` if given, a float64
+    array of at least 3 * bits.size // 2 entries: a sweep passes one to all
+    its row groups, so no group allocates (and page-faults in) fresh
+    memory.  Returns the coefficients and that buffer as the fills left
+    them, both (rows, 2^n), and the influence numerators 4^n I_k, (rows, n).
     """
     # Exact: |c| <= 2^n <= 2^24 fits float32, c^2 <= 2^48 fits float64,
-    # and the marginals are sums of integers totalling 4^n <= 2^48.
-    size, lo = f.size, f.n // 2
-    block = min(size, _GROUP_ENTRIES)
-    spare = np.empty(size)  # the transform's two float32 stage buffers first
-    coeffs = sign_spectrum(f.bits(), np.empty(size, dtype=np.float32), spare.view(np.float32))
-    squared = np.empty(block)
-    by_low, by_high = np.zeros(1 << lo), np.empty(size >> lo)
-    for start in range(0, size, block):
-        part = coeffs[start : start + block]
-        np.square(part, out=squared, dtype=np.float64)
-        low, by_high[start >> lo : (start + block) >> lo] = influence_marginals(squared, lo)
-        by_low += low
-        fill(part, squared, spare[start : start + block])
-    return coeffs, spare, numerators_from_marginals(by_low, by_high)
-
+    # and the marginals, and their products with 0/1 bit matrices, are
+    # sums of integers totalling 4^n <= 2^48, exact in any order.
+    rows, size = bits.shape
+    n = size.bit_length() - 1
+    lo, entries = n // 2, bits.size
+    if scratch is None:
+        scratch = np.empty(3 * entries // 2)
+    spare = scratch[:entries]
+    coeffs = scratch[entries : 3 * entries // 2].view(np.float32).reshape(rows, size)
+    sign_spectrum(bits, coeffs, spare.view(np.float32))
+    del bits  # frees a one-table caller's sign bits for the block buffers below
+    block = min(entries, _GROUP_ENTRIES)
+    per = min(size, block)  # entries of one table in a block
+    squared, flat = np.empty(block), coeffs.reshape(-1)
+    by_low, by_high = np.zeros((rows, 1 << lo)), np.empty(entries >> lo)
+    for start in range(0, entries, block):
+        part = flat[start : start + block]
+        stop = start + part.size
+        table = np.square(part, out=squared[: part.size], dtype=np.float64)
+        grid = table.reshape(-1, per >> lo, 1 << lo)
+        by_low[start >> n : (start >> n) + len(grid)] += np.einsum("tij->tj", grid)
+        by_high[start >> lo : stop >> lo] = np.einsum("tij->ti", grid).ravel()
+        fill(part, table, spare[start:stop])
+    # Bit k-1 of S is a column bit of the (2^(n-lo), 2^lo) grid when
+    # k <= lo and a row bit otherwise, so 4^n I_k sums the half of one
+    # marginal where that bit is set.
+    numerators = np.empty((rows, n), dtype=np.int64)
+    numerators[:, :lo] = by_low @ _bit_matrix(lo)
+    numerators[:, lo:] = by_high.reshape(rows, -1) @ _bit_matrix(n - lo)
+    return coeffs, spare.reshape(rows, size), numerators

@@ -20,8 +20,9 @@ from hypercube_spectra import (
 from hypercube_spectra.entropy import (
     DEFAULT_DELTAS,
     Concentration,
+    _entropy_bits,
+    entropy_terms,
     influence_floats,
-    spectral_entropies,
 )
 from hypercube_spectra.search import chunk_stats
 from hypercube_spectra.spectrum import partial_hadamard_inplace
@@ -107,10 +108,23 @@ def concentration_oracle(squared: np.ndarray, deltas) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.searchsorted(cumulative, need, side="left"))
 
 
+def influence_numerators(squared: np.ndarray) -> np.ndarray:
+    """4^n I_k = sum over S containing k of c_S^2, one masked sum per k over (..., 2^n) squares."""
+    n = squared.shape[-1].bit_length() - 1
+    members = np.arange(1 << n)
+    return np.stack([squared[..., (members >> k) & 1 == 1].sum(axis=-1) for k in range(n)], -1)
+
+
+def spectral_entropies(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ent, min-entropy) in bits from whole tables of squared coefficients (..., 2^n)."""
+    n = squared.shape[-1].bit_length() - 1
+    return _entropy_bits(n, entropy_terms(squared).sum(axis=-1), squared.max(axis=-1))
+
+
 def analyze_oracle(f: BooleanFunction, deltas=DEFAULT_DELTAS) -> AnalysisReport:
     """analyze(f) from whole-table passes over the int64 squares.
 
-    The entropies come from one spectral_entropies call over the whole
+    The entropies come from one spectral_entropies pass over the whole
     table, the influences from counted edges, the concentration from
     concentration_oracle.
     """

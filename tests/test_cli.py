@@ -3,9 +3,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from hypercube_spectra import BooleanFunction, SearchJob, cli, lemma22_check, run_search, search
+from hypercube_spectra import BooleanFunction, SearchJob, cli, lemma22_check, run_search
 from hypercube_spectra.inequality import SweepResult
 
 from conftest import lemma22_oracle, lemma22_trials, lemma31_oracle, peak_probe
@@ -210,7 +211,7 @@ _BOUNDARIES = [
     (cli, "_TRIAL_BLOCK", 1),
     (cli, "_TRIAL_BLOCK", 3),
     (cli, "_BLOCK_ENTRIES", 40),
-    (search, "_GROUP_ENTRIES", 1),  # one row per batch
+    (cli, "group_rows", lambda n: 1),  # one row per batch
 ]
 
 
@@ -257,7 +258,7 @@ def test_lemma22_reports_its_first_failure_in_trial_order(monkeypatch, capsys):
             assert run_cli(capsys, *argv)[:2] == (code, out), (name, value)
 
 
-@pytest.mark.parametrize("eps", ["0", "0.5", "-0.1"])
+@pytest.mark.parametrize("eps", ["0", "0.5", "-0.1", "0.1,0.1"])
 def test_verify_lemma31_refuses_bad_eps_before_drawing(monkeypatch, capsys, eps):
     monkeypatch.setattr(cli, "_trial_batches", lambda *args: pytest.fail("a trial was drawn"))
     code, out, _ = run_cli(capsys, "verify", "lemma31", "--trials", "5", "--eps", eps)
@@ -337,6 +338,16 @@ def test_verify_scalar_random_must_be_positive(capsys):
             _assert_error_envelope(code, out, "--random must be positive")
         code, out, _ = run_cli(capsys, "verify", kind, "--grid", "5", "--random", "0")
         _assert_error_envelope(code, out, "--random must be positive")
+
+
+def test_verify_scalar_random_is_bounded(monkeypatch, capsys):
+    # refused before a triple is drawn; 10^12 triples ended in numpy's
+    # MemoryError traceback, outside the envelope
+    monkeypatch.setattr(np.random, "default_rng", lambda *_: pytest.fail("triples were drawn"))
+    for kind in ("lemma24", "eq27"):
+        code, out, _ = run_cli(capsys, "verify", kind, "--grid", "2", "--eps", "0.1",
+                               "--random", "1000000000000", "--seed", "1")
+        _assert_error_envelope(code, out, "at most 2097152 triples (--random)")
 
 
 @pytest.mark.parametrize("eps", ["", ",", "0.3:0.1:0.1"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_spectrum, random_function
+from conftest import brute_spectrum, influence_numerators, random_function
 from hypercube_spectra import (
     ScalarGridSpec,
     analyze,
@@ -20,8 +20,13 @@ from hypercube_spectra import (
     sweep_gap_random,
     wht,
 )
-from hypercube_spectra.inequality import MAX_GRID_STEPS, SweepResult, _gap_grid, q31_numerators
-from hypercube_spectra.spectrum import influence_numerators
+from hypercube_spectra.inequality import (
+    MAX_GRID_STEPS,
+    MAX_RANDOM_TRIPLES,
+    SweepResult,
+    _gap_grid,
+    q31_numerators,
+)
 
 
 def test_lemma24_gap_spot_values():
@@ -127,6 +132,8 @@ def test_sweep_validation():
     assert ScalarGridSpec(steps=MAX_GRID_STEPS).steps == MAX_GRID_STEPS
     with pytest.raises(ValueError):
         sweep_gap_random("eq27", 0, seed=1)
+    with pytest.raises(ValueError, match="at most 2097152 triples"):
+        sweep_gap_random("eq27", MAX_RANDOM_TRIPLES + 1, seed=1)  # refused before it allocates
 
 
 # -- Question 3.1 reports ----------------------------------------------------

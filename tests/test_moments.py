@@ -166,6 +166,8 @@ def test_chain_respects_order_and_validates():
         chain(f, (0.25, 0.5))
     with pytest.raises(ValueError):
         chain(f, ())
+    with pytest.raises(ValueError, match="must not repeat"):
+        chain(f, (0.1, 0.2, 0.1))  # a repeated eps would count its chain twice
 
 
 def test_chain_final_matches_direct_moment():

@@ -15,6 +15,7 @@ from hypercube_spectra import (
 )
 from hypercube_spectra import cli, search
 from hypercube_spectra.search import METRICS, batch_stats
+from hypercube_spectra.spectrum import group_rows
 
 from conftest import chunk_columns, peak_probe
 
@@ -222,7 +223,7 @@ def test_sample_mode_ignores_chunk_partitioning():
     ids=lambda job: f"{job.mode}-n{job.n}",
 )
 def test_chunk_witness_is_smallest_tied_table(job):
-    group_rows = max(1, search._GROUP_ENTRIES >> job.n)
+    rows = group_rows(job.n)
     ties = across = later = 0
     for chunk in range(job.total_chunks):
         bits, stats = chunk_columns(job, chunk)
@@ -235,14 +236,14 @@ def test_chunk_witness_is_smallest_tied_table(job):
             ties += len(tied) - 1
             tables = [from_sign_bits(bits[i]).table for i in tied]
             expected[metric] = (float(vals[tied[0]]), min(tables))
-            groups = tied // group_rows
+            groups = tied // rows
             across += len(set(groups.tolist())) > 1
             later += groups[int(np.argmin(tables))] > groups[0]
         assert search._chunk_best(job, chunk) == expected
     assert ties > 0  # the reference compared real ties, not single rows
-    if job.chunk_size > group_rows:
+    if job.chunk_size > rows:
         assert across > 0  # and ties that the group fold had to merge
-    if job.mode == "sample" and job.chunk_size > group_rows:
+    if job.mode == "sample" and job.chunk_size > rows:
         assert later > 0  # where the first tied group did not hold the witness
 
 
@@ -311,7 +312,7 @@ def test_batch_stats_never_sees_more_than_one_group(monkeypatch, capsys, argv):
     assert cli.main(argv) == 0
     capsys.readouterr()
     size = shapes[0][1]
-    limit = max(search._GROUP_ENTRIES, size)
+    limit = group_rows(size.bit_length() - 1) * size
     assert all(rows * cols <= limit for rows, cols in shapes)
     assert max(rows * cols for rows, cols in shapes) == limit  # full groups, not single rows
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    analyze_oracle,
     brute_spectrum,
     butterfly_spectrum,
     negated,
@@ -24,10 +25,10 @@ from hypercube_spectra import (
     wht,
 )
 from hypercube_spectra.spectrum import (
-    influence_numerators,
     partial_hadamard_inplace,
     sign_spectrum,
     stage_widths,
+    walk_spectrum,
 )
 
 
@@ -72,9 +73,9 @@ def test_batched_transform_matches_butterflies(n):
         got = sign_spectrum(bits)
         assert got.dtype == np.int64
         assert (got == expected).all()
-        # into a caller's float64 buffer, with the float32 stage pair in a
-        # caller's scratch, as batch_stats calls it
-        out = np.empty(bits.shape)
+        # into a caller's float32 buffer, with the float32 stage pair in a
+        # caller's scratch, as walk_spectrum calls it
+        out = np.empty(bits.shape, dtype=np.float32)
         assert sign_spectrum(bits, out, np.empty(2 * bits.size, dtype=np.float32)) is out
         assert (out == expected).all()
 
@@ -173,6 +174,10 @@ def test_influence_defs_agree_random():
         assert influences_combinatorial(f).per_coord == analyze(f).influences
 
 
+def _walk_numerators(bits: np.ndarray) -> np.ndarray:
+    return walk_spectrum(bits, lambda *_: None)[2]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_influence_numerators_match_per_coordinate_sums(n):
     # odd n splits the index into unequal halves; row 0 is a constant function
@@ -185,14 +190,14 @@ def test_influence_numerators_match_per_coordinate_sums(n):
     brute = np.stack(
         [squared[:, (members >> k) & 1 == 1].sum(axis=1) for k in range(n)], axis=1
     )
-    assert np.array_equal(influence_numerators(squared), brute)
-    assert np.array_equal(influence_numerators(squared[2]), brute[2])  # an unbatched row
+    assert np.array_equal(_walk_numerators(bits), brute)
+    assert np.array_equal(_walk_numerators(bits[2:3]), brute[2:3])  # a walk of one row
     assert brute[0].tolist() == [0] * n
 
 
 def test_influence_numerators_at_the_n24_ceiling():
     # parity(24) puts all 4^24 of its weight on S = [24], which holds every k
-    assert influence_numerators(wht(parity(24)).coeffs ** 2).tolist() == [4**24] * 24
+    assert _walk_numerators(parity(24).bits()[None]).tolist() == [[4**24] * 24]
 
 
 def test_weighted_degree_sum_identity():
@@ -210,13 +215,21 @@ def test_batch_stats_matches_single_function_paths():
 
     rng = np.random.default_rng(8)
     # one, two unequal, two equal and three stages; from n = 13 on, the
-    # squares and the q31 sums of |c| products pass float32's 2^24
-    for n, count in ((5, 40), (9, 12), (12, 4), (16, 2)):
+    # squares and the q31 sums of |c| products pass float32's 2^24; the
+    # walk takes 2^15-entry blocks: three n = 14 rows end in a short block,
+    # an n = 16 or 17 row spans several
+    for n, count in ((5, 40), (9, 12), (12, 4), (14, 3), (16, 2), (17, 1)):
         fns = [random_function(rng, n) for _ in range(count)]
         bits = np.stack([f.bits() for f in fns])
         stats = batch_stats(bits)
         for i, f in enumerate(fns):
             report = analyze(f)
+            # and a whole-table int64 oracle, which shares no walk with either
+            oracle = analyze_oracle(f)
+            assert stats["entropy"][i] == oracle.entropy_bits
+            assert stats["min_entropy"][i] == oracle.min_entropy_bits
+            assert stats["term_sum"][i] == oracle.term_sum_bits
+            assert stats["bound"][i] == oracle.bound_bits
             # one kernel serves both: a batch row equals the single-function report
             assert stats["entropy"][i] == report.entropy_bits
             assert stats["min_entropy"][i] == report.min_entropy_bits
