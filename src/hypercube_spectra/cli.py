@@ -42,7 +42,7 @@ from .moments import (
 )
 from .search import SearchJob, chunk_stats, metric_columns
 from . import search as search_mod
-from .spectrum import group_rows, wht
+from .spectrum import group_rows, walk_scratch, wht
 
 _VIOLATION_TOL = 1e-9
 
@@ -117,6 +117,8 @@ def _load_function(args) -> BooleanFunction:
     if args.family and args.fn:
         raise ValueError("give either --fn or --family, not both")
     if args.family:
+        if args.n is not None:
+            raise ValueError("--n needs --fn; drop --n")
         return make_family(FamilySpec.parse(args.family))
     if args.fn:
         if args.n is None:
@@ -246,51 +248,30 @@ def _check_trials(args) -> None:
         raise ValueError(f"--max-n must be at most {MAX_N}, got {args.max_n}")
 
 
-_TRIAL_BLOCK = 1024  # trials drawn before their tables are grouped by n
-_BLOCK_ENTRIES = 1 << 24  # a block also ends once its tables hold this many entries
-
-
 def _trial_batches(args, draw_extra):
     """The random trials of a lemma sweep, as batches of same-dimension tables.
 
     Trials are drawn in the order a one-at-a-time loop draws them: n, the
-    table's bytes, then draw_extra(rng, n).  A block of trials ends after
-    _TRIAL_BLOCK trials or once its tables hold _BLOCK_ENTRIES entries; its
-    trials are grouped by n, and each group is yielded in batches of at most
-    group_rows(n) tables, as (n, trial indices, sign bits (rows, 2^n),
-    extras) with rows in trial order.  Callers check the sweep flags first
-    (_check_trials).
+    table's bytes, then draw_extra(rng, n).  A dimension's batch is yielded
+    once it holds group_rows(n) trials, the rest at the end, as (n, trial
+    indices, sign bits (rows, 2^n), extras) with rows in trial order.
+    Callers check the sweep flags first (_check_trials).
     """
     rng = np.random.default_rng(args.seed)
-    drawn = 0
-    while drawn < args.trials:
-        # The block's packed tables lie back to back in one buffer: room for
-        # the entry bound, the table that crosses it, and one byte for each
-        # table shorter than a byte.  Besides saving an array per trial, the
-        # one large allocation freed per block lifts glibc's heap trim
-        # threshold; with per-trial arrays, an exhaustive n = 4 search later
-        # in the same process page-faulted its row groups back in each chunk.
-        packed = np.empty(((_BLOCK_ENTRIES + (1 << args.max_n)) >> 3) + _TRIAL_BLOCK, np.uint8)
-        groups: dict[int, list] = {}
-        entries = end = 0
-        for _ in range(min(_TRIAL_BLOCK, args.trials - drawn)):
-            n = int(rng.integers(1, args.max_n + 1))
-            width = (1 << n) // 8 or 1
-            packed[end : end + width] = rng.integers(0, 256, size=width, dtype=np.uint8)
-            groups.setdefault(n, []).append((drawn, end, draw_extra(rng, n)))
-            drawn += 1
-            end += width
-            entries += 1 << n
-            if entries >= _BLOCK_ENTRIES:
-                break
-        for n, trials in sorted(groups.items()):
-            rows = group_rows(n)
-            width = (1 << n) // 8 or 1
-            for start in range(0, len(trials), rows):
-                indices, offsets, extras = zip(*trials[start : start + rows])
-                tables = np.stack([packed[at : at + width] for at in offsets])
-                bits = np.unpackbits(tables, axis=-1, bitorder="little")
-                yield n, indices, bits[:, : 1 << n], extras
+    pending: dict[int, list] = {}
+
+    def batch(n):
+        indices, tables, extras = zip(*pending.pop(n))
+        bits = np.unpackbits(np.stack(tables), axis=-1, bitorder="little")
+        return n, indices, bits[:, : 1 << n], extras
+
+    for trial in range(args.trials):
+        n = int(rng.integers(1, args.max_n + 1))
+        table = rng.integers(0, 256, size=(1 << n) // 8 or 1, dtype=np.uint8)
+        pending.setdefault(n, []).append((trial, table, draw_extra(rng, n)))
+        if len(pending[n]) == group_rows(n):
+            yield batch(n)
+    yield from map(batch, list(pending))
 
 
 def _draw_restriction(rng: np.random.Generator, n: int) -> tuple[list[int], int]:
@@ -346,8 +327,8 @@ def _verify_lemma31(args):
     violations = 0
     # The witness is the first strict minimum in (trial, eps) order.  Each
     # batch's rows are in trial order, so its flat argmin is its first
-    # minimum; across batches, which come grouped by n, ties go to the
-    # earlier position.
+    # minimum; batches interleave trials, and the (margin, trial, eps) key
+    # orders ties across them.
     best = (math.inf, math.inf, 0)  # (margin, trial, eps index)
     witness = None
     for n, indices, bits, orders in _trial_batches(
@@ -404,7 +385,8 @@ def _verify_theorem(args):
     for job in jobs:
         # Row groups come in index order, so the first strict maximum of
         # the groups is the first strict maximum of the whole sweep.
-        groups = (g for chunk in range(job.total_chunks) for g in chunk_stats(job, chunk))
+        scratch = walk_scratch(group_rows(job.n) << job.n)
+        groups = (g for c in range(job.total_chunks) for g in chunk_stats(job, c, scratch))
         for bits, stats in groups:
             keep = stats["nonconstant"]
             checked += int(np.count_nonzero(keep))
@@ -420,7 +402,7 @@ def _verify_theorem(args):
         **mode,
         "checked": checked,
         "violations": violations,
-        "max_entropy_over_bound": max_ratio,
+        "max_entropy_over_bound": None if witness is None else max_ratio,  # all tables constant
         "witness_of_max": witness,
         "tolerance": _VIOLATION_TOL,
     }

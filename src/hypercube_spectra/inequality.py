@@ -101,28 +101,33 @@ class SweepResult:
 _GAP_TOLERANCE = 1e-12
 
 
-def sweep_gap(kind: str, grid: ScalarGridSpec | None = None) -> SweepResult:
-    """Evaluate one gap function over a full grid; count violations < -1e-12."""
+def _sweep_triples(kind: str, triples) -> SweepResult:
+    """One gap's violations and first minimum over batches of (a, b, eps) arrays."""
     if kind not in ("lemma24", "eq27"):
         raise ValueError(f"unknown gap kind {kind!r}")
-    grid = grid or ScalarGridSpec()
-    axis = np.linspace(0.0, 1.0, grid.steps)
-    aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    keep = aa <= bb
-    a_flat, b_flat = aa[keep], bb[keep]
     evaluated = 0
     violations = 0
     min_gap = math.inf
     argmin = GapPoint(0.0, 0.0, 0.0)
-    for eps in grid.eps_list:
-        gaps = _gap_grid(a_flat, b_flat, eps, upper=(kind == "lemma24"))
+    for a, b, eps in triples:
+        gaps = _gap_grid(a, b, eps, upper=(kind == "lemma24"))
         evaluated += gaps.size
         violations += int(np.count_nonzero(gaps < -_GAP_TOLERANCE))
         low = int(np.argmin(gaps))
         if gaps[low] < min_gap:
             min_gap = float(gaps[low])
-            argmin = GapPoint(float(a_flat[low]), float(b_flat[low]), float(eps))
+            argmin = GapPoint(*map(float, (a[low], b[low], np.broadcast_to(eps, a.shape)[low])))
     return SweepResult(kind, evaluated, violations, min_gap, argmin)
+
+
+def sweep_gap(kind: str, grid: ScalarGridSpec | None = None) -> SweepResult:
+    """Evaluate one gap function over a full grid, one eps at a time; count violations < -1e-12."""
+    grid = grid or ScalarGridSpec()
+    axis = np.linspace(0.0, 1.0, grid.steps)
+    aa, bb = np.meshgrid(axis, axis, indexing="ij")
+    keep = aa <= bb
+    a, b = aa[keep], bb[keep]
+    return _sweep_triples(kind, ((a, b, eps) for eps in grid.eps_list))
 
 
 MAX_RANDOM_TRIPLES = 1 << 21  # about one eps of the largest grid (198 MB peak at 2^21)
@@ -130,8 +135,6 @@ MAX_RANDOM_TRIPLES = 1 << 21  # about one eps of the largest grid (198 MB peak a
 
 def sweep_gap_random(kind: str, count: int, seed: int) -> SweepResult:
     """Same check on seeded random triples (a, b, eps)."""
-    if kind not in ("lemma24", "eq27"):
-        raise ValueError(f"unknown gap kind {kind!r}")
     if count < 1:
         raise ValueError("count must be positive")
     if count > MAX_RANDOM_TRIPLES:
@@ -142,16 +145,7 @@ def sweep_gap_random(kind: str, count: int, seed: int) -> SweepResult:
     a = rng.random(count)
     b = a + (1.0 - a) * rng.random(count)
     eps = np.clip(rng.random(count) * 0.5, 1e-9, 0.5 - 1e-9)
-    gaps = _gap_grid(a, b, eps, upper=(kind == "lemma24"))
-    violations = int(np.count_nonzero(gaps < -_GAP_TOLERANCE))
-    low = int(np.argmin(gaps))
-    return SweepResult(
-        kind,
-        count,
-        violations,
-        float(gaps[low]),
-        GapPoint(float(a[low]), float(b[low]), float(eps[low])),
-    )
+    return _sweep_triples(kind, [(a, b, eps)])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 from .boolfn import MAX_N, BooleanFunction
 from .entropy import AnalysisReport, _entropy_bits, analyze, entropy_terms, influence_floats
 from .inequality import q31_numerators, q31_worst
-from .spectrum import group_rows, walk_spectrum
+from .spectrum import group_rows, walk_scratch, walk_spectrum
 
 METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen_slack")
 
@@ -199,16 +199,18 @@ def _sample_bits(n: int, seed: int, start: int, stop: int) -> np.ndarray:
 # array through DRAM.  chunk_size alone fixes checkpoints and job_hash.
 
 
-def chunk_stats(job: SearchJob, chunk_index: int) -> Iterator[tuple[np.ndarray, dict]]:
+def chunk_stats(job: SearchJob, chunk: int, scratch=None) -> Iterator[tuple[np.ndarray, dict]]:
     """Sign bits and batch_stats of one chunk, one row group at a time.
 
     Groups come in index order, and batch_stats works row by row, so the
     groups' columns concatenate to the chunk's.  No array spans the chunk.
+    All groups walk in `scratch`, a walk_scratch for one group, if given.
     """
-    first = chunk_index * job.chunk_size
+    first = chunk * job.chunk_size
     stop = min(first + job.chunk_size, job.total_indices)
     rows = group_rows(job.n)
-    scratch = np.empty(3 * (min(rows, stop - first) << job.n) // 2)
+    if scratch is None:
+        scratch = walk_scratch(rows << job.n)
     for start in range(first, stop, rows):
         end = min(start + rows, stop)
         if job.mode == "exhaustive":
@@ -225,10 +227,10 @@ def _smallest_table(bits: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]]:
+def _chunk_best(job: SearchJob, chunk_index: int, scratch=None) -> dict[str, tuple[float, int]]:
     """Each metric's best (value, smallest tied table) over one chunk's groups."""
     best: dict[str, tuple[float, int]] = {}
-    for bits, stats in chunk_stats(job, chunk_index):
+    for bits, stats in chunk_stats(job, chunk_index, scratch):
         keep = stats["nonconstant"]
         if not keep.any():
             continue
@@ -274,11 +276,16 @@ def _write_checkpoint(path: str, job: SearchJob, cursor: int, best: dict) -> Non
         "complete": cursor >= job.total_chunks,
     }
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):  # leave no partial checkpoint beside the path
+            os.remove(tmp)
+        raise ValueError(f"cannot write checkpoint {path!r}: {exc.strerror}") from None
 
 
 def _finalize(job: SearchJob, best: dict) -> list[ExtremalRecord]:
@@ -320,10 +327,13 @@ def _sweep(
     # The executor forks every worker it is given at its first submit, so
     # it gets no more than there are chunks to run or CPUs to run them.
     workers = min(workers, stop - first_chunk, os.cpu_count() or 1)
+    # A serial sweep walks every chunk in one scratch; pooled chunks make their own.
+    scratch = None if workers > 1 else walk_scratch(group_rows(job.n) << job.n)
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run_chunks = pool.map if pool else map
         for start in range(first_chunk, stop, every) or (first_chunk,):
             batch = range(start, min(start + every, stop))
-            for result in (pool.map if pool else map)(_chunk_best, repeat(job), batch):
+            for result in run_chunks(_chunk_best, repeat(job), batch, repeat(scratch)):
                 for metric, cand in result.items():
                     _keep_better(best, metric, cand)
             if checkpoint_path:
@@ -337,7 +347,13 @@ def run(
     workers: int = 1,
     max_chunks: int | None = None,
 ) -> list[ExtremalRecord] | None:
-    """Execute a job from the start.  Returns None if stopped early."""
+    """Execute a job from the start.  Returns None if stopped early.
+
+    A checkpoint path that names no file in an existing directory raises ValueError first.
+    """
+    folder = os.path.dirname(checkpoint_path or "") or "."
+    if checkpoint_path and (os.path.isdir(checkpoint_path) or not os.path.isdir(folder)):
+        raise ValueError(f"checkpoint {checkpoint_path!r} names no file in an existing directory")
     best: dict[str, tuple[float, int] | None] = {m: None for m in job.metrics}
     return _sweep(job, best, 0, checkpoint_path, workers, max_chunks)
 

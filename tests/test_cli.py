@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypercube_spectra import BooleanFunction, SearchJob, cli, lemma22_check, run_search
+from hypercube_spectra import BooleanFunction, SearchJob, cli, lemma22_check, run_search, search
 from hypercube_spectra.inequality import SweepResult
 
 from conftest import lemma22_oracle, lemma22_trials, lemma31_oracle, peak_probe
@@ -58,6 +58,13 @@ def test_mutually_exclusive_inputs(capsys):
     code, _, err = run_cli(capsys, "analyze", "--fn", "69", "--n", "3", "--family", "parity:s=2")
     assert code == 1
     assert "not both" in err
+
+
+@pytest.mark.parametrize("cmd", [("analyze",), ("spectrum",), ("moments",),
+                                 ("chain", "--eps", "0.1"), ("q31",)])
+def test_family_refuses_stray_n(capsys, cmd):
+    code, out, _ = run_cli(capsys, *cmd, "--family", "parity:s=3", "--n", "5")
+    _assert_error_envelope(code, out, "--n needs --fn; drop --n")
 
 
 def test_unknown_flag_is_exit_one(capsys):
@@ -208,10 +215,8 @@ def test_verify_lemma_sweeps_match_one_trial_at_a_time(capsys, kind, trials, max
 
 
 _BOUNDARIES = [
-    (cli, "_TRIAL_BLOCK", 1),
-    (cli, "_TRIAL_BLOCK", 3),
-    (cli, "_BLOCK_ENTRIES", 40),
     (cli, "group_rows", lambda n: 1),  # one row per batch
+    (cli, "group_rows", lambda n: 3),  # batches of several dimensions interleave
 ]
 
 
@@ -241,10 +246,14 @@ def test_lemma22_reports_its_first_failure_in_trial_order(monkeypatch, capsys):
     monkeypatch.setattr(cli, "lemma22_batch", forged)
     argv = ("verify", "lemma22", "--trials", "300", "--max-n", "6", "--seed", "4")
     code, out, _ = run_cli(capsys, *argv)
-    failing = [(f, j_set) for f, j_set, k in lemma22_trials(300, 6, 4) if k == 2]
+    trials = list(lemma22_trials(300, 6, 4))
+    failing = [(f, j_set) for f, j_set, k in trials if k == 2]
     f, j_set = failing[0]
-    # a later failure has a smaller n, so its batch is checked first
-    assert any(g.n < f.n for g, _ in failing[1:])
+    # With three rows per batch, trials 1, 3 and 5 (n = 4, two of them
+    # failing) fill a batch, which is checked before the batch of trial 0.
+    assert [(g.n, k == 2) for g, _, k in trials[:6]] == [
+        (5, True), (4, False), (6, False), (4, True), (6, False), (4, True)
+    ]
     lhs, rhs = lemma22_check(f, j_set, 2)
     payload = json.loads(out)["payload"]
     assert code == 2
@@ -256,6 +265,25 @@ def test_lemma22_reports_its_first_failure_in_trial_order(monkeypatch, capsys):
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, value)
             assert run_cli(capsys, *argv)[:2] == (code, out), (name, value)
+
+
+def test_lemma_batches_fill_to_group_rows(monkeypatch, capsys):
+    sizes = {}  # n -> rows of each batch, in the order they are checked
+    real = cli.lemma22_batch
+
+    def spy(bits, j_masks, ks):
+        sizes.setdefault(bits.shape[-1].bit_length() - 1, []).append(len(bits))
+        return real(bits, j_masks, ks)
+
+    monkeypatch.setattr(cli, "lemma22_batch", spy)
+    monkeypatch.setattr(cli, "group_rows", lambda n: 3)
+    assert run_cli(capsys, "verify", "lemma22", "--trials", "300", "--max-n", "6", "--seed", "4")[0] == 0
+    drawn = {}
+    for f, _, _ in lemma22_trials(300, 6, 4):
+        drawn[f.n] = drawn.get(f.n, 0) + 1
+    # every batch is full but each dimension's last, which holds the rest
+    assert sizes == {n: [3] * (count // 3) + ([count % 3] if count % 3 else [])
+                     for n, count in drawn.items()}
 
 
 @pytest.mark.parametrize("eps", ["0", "0.5", "-0.1", "0.1,0.1"])
@@ -293,6 +321,37 @@ def test_verify_theorem_sampled(capsys):
     payload = json.loads(out)["payload"]
     assert payload["checked"] == 200
     assert payload["violations"] == 0
+
+
+def test_verify_theorem_with_only_constant_draws(capsys):
+    code, out, _ = run_cli(capsys, "verify", "theorem", "--random", "1", "--n", "1", "--seed", "0")
+    doc = json.loads(out)
+    assert (code, doc["status"]) == (0, "ok")
+    assert doc["payload"]["checked"] == 0
+    assert doc["payload"]["max_entropy_over_bound"] is None
+    assert doc["payload"]["witness_of_max"] is None
+
+
+def test_serial_sweeps_walk_every_chunk_in_one_scratch(monkeypatch, capsys):
+    seen = []  # (table size, scratch) per row group; holding them keeps every id distinct
+    real = search.batch_stats
+
+    def spy(bits, scratch=None):
+        seen.append((bits.shape[-1], scratch))
+        return real(bits, scratch)
+
+    monkeypatch.setattr(search, "batch_stats", spy)
+    job = SearchJob(n=4, mode="exhaustive", chunk_size=4096)
+    assert run_search(job, workers=1) is not None
+    assert len(seen) == 32 and job.total_chunks == 16  # two row groups per chunk
+    assert all(scratch is seen[0][1] for _, scratch in seen)
+    seen.clear()
+    code, _, _ = run_cli(capsys, "verify", "theorem", "--max-n", "4")
+    assert code == 0
+    scratches = {}
+    for size, scratch in seen:
+        scratches.setdefault(size, set()).add(id(scratch))
+    assert {size: len(ids) for size, ids in scratches.items()} == {2: 1, 4: 1, 8: 1, 16: 1}
 
 
 def test_verify_theorem_is_bounded(capsys):
@@ -435,6 +494,27 @@ def test_search_cli_resume(capsys, tmp_path):
     code, resumed, _ = run_cli(capsys, "search", "--resume", "--checkpoint", path)
     assert code == 0
     assert resumed == straight
+
+
+@pytest.mark.parametrize("where", ["missing-dir/out.json", "."])
+def test_search_cli_refuses_unusable_checkpoint_before_sweeping(monkeypatch, capsys, tmp_path, where):
+    monkeypatch.setattr(search, "_chunk_best", lambda *args: pytest.fail("a chunk ran"))
+    path = str(tmp_path / where)
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--workers", "1", "--checkpoint", path)
+    _assert_error_envelope(code, out, "names no file in an existing directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_cli_failed_checkpoint_write_is_an_error(monkeypatch, capsys, tmp_path):
+    def full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(search.os, "fsync", full)
+    path = str(tmp_path / "sweep.json")
+    code, out, _ = run_cli(capsys, "search", "--n", "2", "--workers", "1", "--checkpoint", path)
+    _assert_error_envelope(code, out, "cannot write checkpoint")
+    assert "No space left on device" in json.loads(out)["payload"]["message"]
+    assert list(tmp_path.iterdir()) == []  # no partial .tmp file is left
 
 
 def test_search_cli_usage_errors(capsys):

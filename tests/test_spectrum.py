@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from hypercube_spectra.spectrum import (
     partial_hadamard_inplace,
     sign_spectrum,
     stage_widths,
+    walk_scratch,
     walk_spectrum,
 )
 
@@ -198,6 +201,22 @@ def test_influence_numerators_match_per_coordinate_sums(n):
 def test_influence_numerators_at_the_n24_ceiling():
     # parity(24) puts all 4^24 of its weight on S = [24], which holds every k
     assert _walk_numerators(parity(24).bits()[None]).tolist() == [[4**24] * 24]
+
+
+@pytest.mark.parametrize("n, rows", [(12, 8), (16, 1)])
+def test_walk_in_a_given_scratch_allocates_no_block_of_squares(n, rows):
+    # A sweep's scratch holds the block of 2^15 float64 squares (256 KB), so a
+    # walk in it allocates only the marginals and small temporaries.
+    bits = np.random.default_rng(n).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
+    scratch = walk_scratch(bits.size)
+    tracemalloc.start()
+    try:
+        got = walk_spectrum(bits, lambda *_: None, scratch)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _walk_numerators(bits))
+    assert peak < (1 << 15) * 8
 
 
 def test_weighted_degree_sum_identity():
