@@ -40,7 +40,7 @@ from .moments import (
     lemma22_check,
     moment_curve,
 )
-from .search import SearchJob, chunk_stats, metric_columns
+from .search import SearchJob, _tables, chunk_stats, metric_columns
 from . import search as search_mod
 from .spectrum import group_rows, walk_scratch, wht
 
@@ -114,7 +114,7 @@ def _add_fn_args(p: _Parser) -> None:
 
 
 def _load_function(args) -> BooleanFunction:
-    if args.family and args.fn:
+    if args.family and args.fn is not None:
         raise ValueError("give either --fn or --family, not both")
     if args.family:
         if args.n is not None:
@@ -383,11 +383,9 @@ def _verify_theorem(args):
     max_ratio = -math.inf
     witness = None
     for job in jobs:
-        # Row groups come in index order, so the first strict maximum of
-        # the groups is the first strict maximum of the whole sweep.
         scratch = walk_scratch(group_rows(job.n) << job.n)
-        groups = (g for c in range(job.total_chunks) for g in chunk_stats(job, c, scratch))
-        for bits, stats in groups:
+        for chunk in range(job.total_chunks):
+            stats = chunk_stats(job, chunk, scratch)
             keep = stats["nonconstant"]
             checked += int(np.count_nonzero(keep))
             ent, bound, drop = stats["entropy"], stats["bound"], stats["bound_drop_one"]
@@ -395,9 +393,10 @@ def _verify_theorem(args):
             violations += int(np.count_nonzero(bad))
             ratio = np.where(keep, metric_columns(stats)["ent_over_bound"], -np.inf)
             top = int(np.argmax(ratio))
-            if ratio[top] > max_ratio:
+            if ratio[top] > max_ratio:  # chunks come in index order
                 max_ratio = float(ratio[top])
-                witness = {"n": job.n, "fn": from_sign_bits(bits[top]).to_hex()}
+                row = _tables(job, [chunk * job.chunk_size + top])[0]
+                witness = {"n": job.n, "fn": from_sign_bits(row).to_hex()}
     payload = {
         **mode,
         "checked": checked,
@@ -485,7 +484,10 @@ def _cmd_family(args):
     known = {"influences", "limits"}
     if args.targets == "":
         raise ValueError(f"--targets lists no sections; known: {sorted(known)}")
-    targets = set((args.targets or "influences,limits").split(","))
+    sections = (args.targets or "influences,limits").split(",")
+    targets = set(sections)
+    if len(targets) != len(sections):
+        raise ValueError("--targets must not repeat a section")
     if not targets <= known:
         raise ValueError(f"unknown targets {sorted(targets - known)}; known: {sorted(known)}")
     payload = _family_payload(spec, f, targets, args.emit_hex)
@@ -521,6 +523,8 @@ def _cmd_search(args):
     else:
         if "n" not in given:
             raise ValueError("search requires --n")
+        if "checkpoint_every" in given and not args.checkpoint:
+            raise ValueError("--checkpoint-every needs --checkpoint")
         job = SearchJob(**{"mode": "exhaustive", **given})
         records = search_mod.run(job, checkpoint_path=args.checkpoint, workers=workers)
     lines = [render_json(r.as_dict()) for r in records]

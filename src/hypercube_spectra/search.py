@@ -18,11 +18,10 @@ import json
 import math
 import os
 import struct
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -171,92 +170,86 @@ def metric_value(metric: str, f: BooleanFunction) -> float:
     return float(metric_columns(stats)[metric][0])
 
 
-def _exhaustive_bits(n: int, start: int, stop: int) -> np.ndarray:
-    size = 1 << n
-    tables = np.arange(start, stop, dtype="<u8").view(np.uint8).reshape(stop - start, 8)
-    return np.unpackbits(tables[:, : max(1, size // 8)], axis=1, bitorder="little")[:, :size]
+def _tables(job: SearchJob, indices) -> np.ndarray:
+    """Sign bits (len(indices), 2^n) of the job's tables at the given indices.
 
-
-def _sample_bits(n: int, seed: int, start: int, stop: int) -> np.ndarray:
-    key = hashlib.sha256(str(seed).encode()).digest()
-    size = 1 << n
+    An exhaustive index is the table integer.  A sampled index is hashed
+    on its own with the seed, block by block, so any row can be drawn
+    again; keyed BLAKE2b compresses its key block first, so copying one
+    keyed state per digest gives the bytes of a fresh keyed hash.
+    """
+    indices = np.asarray(indices, dtype="<u8")
+    size = 1 << job.n
     nbytes = max(1, size // 8)
-    blocks = -(-nbytes // 64)
-    raw = b"".join(
-        b"".join(
-            hashlib.blake2b(struct.pack("<QI", index, blk), key=key).digest()
-            for blk in range(blocks)
-        )[:nbytes]
-        for index in range(start, stop)
-    )
-    bits = np.frombuffer(raw, np.uint8).reshape(stop - start, nbytes)
-    return np.unpackbits(bits, axis=1, bitorder="little")[:, :size]
+    if job.mode == "exhaustive":
+        raw = indices.view(np.uint8).reshape(-1, 8)[:, :nbytes]
+    else:
+        keyed = hashlib.blake2b(key=hashlib.sha256(str(job.seed).encode()).digest())
+        digests = []
+        for index, blk in product(indices.tolist(), range(-(-nbytes // 64))):
+            state = keyed.copy()
+            state.update(struct.pack("<QI", index, blk))
+            digests.append(state.digest())
+        raw = np.frombuffer(b"".join(digests), np.uint8).reshape(len(indices), -1)[:, :nbytes]
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :size]
 
 
-# A chunk is swept in row groups of group_rows(n) tables, so the
-# table-sized arrays of batch_stats stay in L2 cache from the transform to
-# the entropy logs.  A whole 4096-row chunk at n = 12 streams 128 MB per
-# array through DRAM.  chunk_size alone fixes checkpoints and job_hash.
+def chunk_stats(job: SearchJob, chunk: int, scratch=None) -> dict[str, np.ndarray]:
+    """batch_stats columns of one chunk, filled from its row groups in index order.
 
-
-def chunk_stats(job: SearchJob, chunk: int, scratch=None) -> Iterator[tuple[np.ndarray, dict]]:
-    """Sign bits and batch_stats of one chunk, one row group at a time.
-
-    Groups come in index order, and batch_stats works row by row, so the
-    groups' columns concatenate to the chunk's.  No array spans the chunk.
-    All groups walk in `scratch`, a walk_scratch for one group, if given.
+    A group of group_rows(n) tables is drawn, walked in `scratch` (a
+    walk_scratch for one group, if given) and dropped, so batch_stats stays
+    in L2 cache and no array holds the chunk's tables; a whole 4096-row
+    chunk at n = 12 streamed 128 MB per array through DRAM.  chunk_size
+    alone fixes checkpoints and job_hash.
     """
     first = chunk * job.chunk_size
     stop = min(first + job.chunk_size, job.total_indices)
     rows = group_rows(job.n)
     if scratch is None:
         scratch = walk_scratch(rows << job.n)
+    columns = {}  # filled in place: a join of held group columns raised a sweep's peak ~1 MB
     for start in range(first, stop, rows):
         end = min(start + rows, stop)
-        if job.mode == "exhaustive":
-            bits = _exhaustive_bits(job.n, start, end)
-        else:
-            bits = _sample_bits(job.n, job.seed, start, end)
-        yield bits, batch_stats(bits, scratch)
+        for key, column in batch_stats(_tables(job, np.arange(start, end)), scratch).items():
+            if key not in columns:
+                columns[key] = np.empty((stop - first, *column.shape[1:]), column.dtype)
+            columns[key][start - first : end - first] = column
+    return columns
 
 
-def _smallest_table(bits: np.ndarray) -> int:
-    """Table integer of the smallest of a (rows, 2^n) sign-bit matrix's rows."""
-    packed = np.packbits(bits, axis=1, bitorder="little")  # byte j = table bits 8j..8j+7
-    row = packed[np.lexsort(packed.T)[0]]  # lexsort's primary key is the last, highest byte
-    return int.from_bytes(row.tobytes(), "little")
+def _smallest_table(job: SearchJob, indices: np.ndarray) -> int:
+    """Table integer of the smallest of the job's tables at `indices`, drawn group by group."""
+    rows = group_rows(job.n)
+    smallest = []
+    for start in range(0, len(indices), rows):
+        # byte j = table bits 8j..8j+7; lexsort's primary key is the last, highest byte
+        packed = np.packbits(_tables(job, indices[start : start + rows]), axis=1, bitorder="little")
+        smallest.append(int.from_bytes(packed[np.lexsort(packed.T)[0]].tobytes(), "little"))
+    return min(smallest)
 
 
 def _chunk_best(job: SearchJob, chunk_index: int, scratch=None) -> dict[str, tuple[float, int]]:
-    """Each metric's best (value, smallest tied table) over one chunk's groups."""
-    best: dict[str, tuple[float, int]] = {}
-    for bits, stats in chunk_stats(job, chunk_index, scratch):
-        keep = stats["nonconstant"]
-        if not keep.any():
-            continue
-        columns = metric_columns(stats)
-        for metric in job.metrics:
-            vals = columns[metric]
-            masked = vals[keep]
-            target = float(masked.min() if metric in _MINIMIZED else masked.max())
-            held = best.get(metric)
-            if held is not None and _rank(metric, held)[0] < _rank(metric, (target, 0))[0]:
-                continue  # the held record has the better value: no table to pack
-            tied = keep & (vals == target)
-            _keep_better(best, metric, (target, _smallest_table(bits[tied])))
+    """Each metric's best (value, smallest tied table) over one chunk; ties are drawn again."""
+    stats = chunk_stats(job, chunk_index, scratch)
+    keep = stats["nonconstant"]
+    if not keep.any():
+        return {}
+    columns = metric_columns(stats)
+    best = {}
+    for metric in job.metrics:
+        vals = columns[metric]
+        target = float(vals[keep].min() if metric in _MINIMIZED else vals[keep].max())
+        tied = np.flatnonzero(keep & (vals == target))
+        best[metric] = (target, _smallest_table(job, chunk_index * job.chunk_size + tied))
     return best
 
 
-def _rank(metric: str, found: tuple[float, int]) -> tuple[float, int]:
-    """Sort key of a (value, table) candidate: the best one ranks lowest."""
-    value, table = found
-    return (value if metric in _MINIMIZED else -value, table)
-
-
 def _keep_better(best: dict, metric: str, cand: tuple[float, int]) -> None:
-    """Hold cand as the metric's record if none is held or it ranks lower."""
+    """Hold cand if it beats the metric's held record: a better value, then a smaller table."""
     held = best.get(metric)
-    if held is None or _rank(metric, cand) < _rank(metric, held):
+    sign = 1.0 if metric in _MINIMIZED else -1.0
+    if held is None or (sign * cand[0], cand[1]) < (sign * held[0], held[1]):
         best[metric] = cand
 
 

@@ -24,7 +24,7 @@ from hypercube_spectra.entropy import (
     entropy_terms,
     influence_floats,
 )
-from hypercube_spectra.search import chunk_stats
+from hypercube_spectra.search import _tables, chunk_stats
 from hypercube_spectra.spectrum import partial_hadamard_inplace
 
 
@@ -152,10 +152,10 @@ def analyze_oracle(f: BooleanFunction, deltas=DEFAULT_DELTAS) -> AnalysisReport:
 
 
 def chunk_columns(job, chunk: int) -> tuple[np.ndarray, dict]:
-    """One chunk's sign bits and batch_stats columns, its row groups joined in order."""
-    groups = list(chunk_stats(job, chunk))
-    bits = np.concatenate([b for b, _ in groups])
-    return bits, {key: np.concatenate([s[key] for _, s in groups]) for key in groups[0][1]}
+    """One chunk's sign bits, drawn whole by index, and its batch_stats columns."""
+    start = chunk * job.chunk_size
+    stop = min(start + job.chunk_size, job.total_indices)
+    return _tables(job, range(start, stop)), chunk_stats(job, chunk)
 
 
 def butterfly_spectrum(bits: np.ndarray) -> np.ndarray:

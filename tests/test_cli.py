@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from hypercube_spectra import BooleanFunction, SearchJob, cli, lemma22_check, run_search, search
+from hypercube_spectra import (
+    BooleanFunction,
+    SearchJob,
+    cli,
+    from_sign_bits,
+    lemma22_check,
+    run_search,
+    search,
+)
 from hypercube_spectra.inequality import SweepResult
 
 from conftest import lemma22_oracle, lemma22_trials, lemma31_oracle, peak_probe
@@ -65,6 +73,9 @@ def test_mutually_exclusive_inputs(capsys):
 def test_family_refuses_stray_n(capsys, cmd):
     code, out, _ = run_cli(capsys, *cmd, "--family", "parity:s=3", "--n", "5")
     _assert_error_envelope(code, out, "--n needs --fn; drop --n")
+    # an empty --fn is still given: not ignored, nor hashed as the input
+    code, out, _ = run_cli(capsys, *cmd, "--family", "parity:s=3", "--fn", "")
+    _assert_error_envelope(code, out, "give either --fn or --family, not both")
 
 
 def test_unknown_flag_is_exit_one(capsys):
@@ -330,6 +341,42 @@ def test_verify_theorem_with_only_constant_draws(capsys):
     assert doc["payload"]["checked"] == 0
     assert doc["payload"]["max_entropy_over_bound"] is None
     assert doc["payload"]["witness_of_max"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, jobs, ties",
+    [
+        # the maximum (at n = 4) ties 32 tables in 10 of the 16 chunks
+        pytest.param(("--max-n", "4"), [SearchJob(n=n, mode="exhaustive") for n in range(1, 5)],
+                     (32, 10, 0), id="max-n-4"),
+        # at most 254 distinct nonconstant tables: the maximum ties many rows
+        pytest.param(("--random", "3000", "--n", "3", "--seed", "1"),
+                     [SearchJob(n=3, mode="sample", count=3000, seed=1)], (194, 1, 0),
+                     id="random-n3"),
+        # one maximum, in the second chunk
+        pytest.param(("--random", "12000", "--n", "5", "--seed", "2"),
+                     [SearchJob(n=5, mode="sample", count=12000, seed=2)], (1, 1, 1),
+                     id="random-n5"),
+    ],
+)
+def test_verify_theorem_witness_is_first_strict_maximum(capsys, argv, jobs, ties):
+    best = -np.inf
+    for job in jobs:  # one batch_stats call over each job's whole index range
+        bits = search._tables(job, range(job.total_indices))
+        stats = search.batch_stats(bits)
+        ratio = np.where(stats["nonconstant"], search.metric_columns(stats)["ent_over_bound"],
+                         -np.inf)
+        top = int(np.argmax(ratio))
+        if ratio[top] > best:
+            best = ratio[top]
+            witness = {"n": job.n, "fn": from_sign_bits(bits[top]).to_hex()}
+            chunks = np.flatnonzero(ratio == best) // job.chunk_size
+            found = (len(chunks), len(set(chunks.tolist())), top // job.chunk_size)
+    assert found == ties  # (tied rows, chunks they span, the witness's chunk)
+    code, out, _ = run_cli(capsys, "verify", "theorem", *argv)
+    payload = json.loads(out)["payload"]
+    assert code == 0
+    assert (payload["max_entropy_over_bound"], payload["witness_of_max"]) == (best, witness)
 
 
 def test_serial_sweeps_walk_every_chunk_in_one_scratch(monkeypatch, capsys):
@@ -699,6 +746,13 @@ def test_search_cli_refuses_empty_metrics(capsys):
     _assert_error_envelope(code, out, "at least one metric is required")
 
 
+def test_search_cli_refuses_checkpoint_every_without_checkpoint(monkeypatch, capsys):
+    monkeypatch.setattr(search, "_chunk_best", lambda *args: pytest.fail("a chunk ran"))
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--checkpoint-every", "2",
+                           "--workers", "1")
+    _assert_error_envelope(code, out, "--checkpoint-every needs --checkpoint")
+
+
 def test_cli_refuses_loose_hex_and_repeated_family_parameter(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--fn", "6_96", "--n", "4")
     _assert_error_envelope(code, out, "invalid hex digits")
@@ -738,6 +792,12 @@ def test_family_targets_filter(capsys):
 def test_family_refuses_empty_targets(capsys):
     code, out, _ = run_cli(capsys, "family", "--family", "minblock:s=2,t=2", "--targets", "")
     _assert_error_envelope(code, out, "--targets lists no sections")
+
+
+def test_family_refuses_repeated_targets(capsys):
+    code, out, _ = run_cli(capsys, "family", "--family", "minblock:s=2,t=2",
+                           "--targets", "limits,limits")
+    _assert_error_envelope(code, out, "--targets must not repeat a section")
 
 
 def test_console_script_is_installed():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -206,6 +207,38 @@ def test_sample_mode_ignores_chunk_partitioning():
 
 @pytest.mark.parametrize(
     "job",
+    [SearchJob(n=n, mode="exhaustive") for n in (1, 2, 3, 4)]
+    # tables shorter than a byte, one hash block, and the 128 blocks of an n = 16 table
+    + [SearchJob(n=n, mode="sample", count=64, seed=5) for n in (1, 2, 3, 10, 16)],
+    ids=lambda job: f"{job.mode}-n{job.n}",
+)
+def test_a_table_drawn_again_is_the_same_table(job):
+    total = job.total_indices
+    whole = search._tables(job, range(total))
+    picks = [total - 1, 0, total // 2, 0, total - 1, 1]  # unsorted, with repeats
+    assert np.array_equal(search._tables(job, picks), whole[picks])
+    if job.mode == "exhaustive":  # an exhaustive index is the table integer
+        assert [from_sign_bits(row).table for row in whole[picks]] == picks
+
+
+def test_smallest_tied_table_reads_every_row_group(monkeypatch):
+    job = SearchJob(n=3, mode="sample", count=600, seed=4)
+    smallest = min(from_sign_bits(row).table for row in search._tables(job, range(600)))
+    monkeypatch.setattr(search, "group_rows", lambda n: 7)  # 86 row groups
+    assert search._smallest_table(job, np.arange(600)) == smallest
+    assert search._smallest_table(job, np.arange(7)) > smallest  # not in the first group
+
+
+def test_sampled_tables_keep_their_stream():
+    # sha256 of the sign bits that one fresh keyed blake2b per digest drew
+    bits = search._tables(SearchJob(n=10, mode="sample", count=64, seed=5), range(64))
+    assert bits.shape == (64, 1024)
+    digest = hashlib.sha256(bits.tobytes()).hexdigest()
+    assert digest == "29e40ad7d58cc6306c588021816d308080520b56a96d6a9e5865b8140583d13b"
+
+
+@pytest.mark.parametrize(
+    "job",
     [
         SearchJob(n=2, mode="sample", count=500, seed=1, chunk_size=97),
         SearchJob(n=3, mode="sample", count=3000, seed=4, chunk_size=700),
@@ -267,21 +300,22 @@ def test_chunk_witness_is_smallest_tied_table(job):
                      id="n12"),
     ],
 )
-def test_grouped_chunk_equals_one_whole_chunk_call(job, chunk, sizes):
-    groups = list(search.chunk_stats(job, chunk))
-    assert [len(bits) for bits, _ in groups] == sizes
+def test_grouped_chunk_equals_one_whole_chunk_call(monkeypatch, job, chunk, sizes):
+    groups = []
+
+    def spy(bits, *rest):
+        groups.append(len(bits))
+        return batch_stats(bits, *rest)
+
+    monkeypatch.setattr(search, "batch_stats", spy)
+    joined = search.chunk_stats(job, chunk)
+    assert groups == sizes
     start = chunk * job.chunk_size
-    stop = start + sum(sizes)
-    if job.mode == "exhaustive":
-        bits = search._exhaustive_bits(job.n, start, stop)
-    else:
-        bits = search._sample_bits(job.n, job.seed, start, stop)
-    whole = batch_stats(bits)
-    assert np.array_equal(np.concatenate([b for b, _ in groups]), bits)
+    whole = batch_stats(search._tables(job, range(start, start + sum(sizes))))
+    assert joined.keys() == whole.keys()
     for key, column in whole.items():
-        joined = np.concatenate([stats[key] for _, stats in groups])
-        assert joined.dtype == column.dtype, key
-        assert np.array_equal(joined, column), key
+        assert joined[key].dtype == column.dtype, key
+        assert np.array_equal(joined[key], column), key
     if job.n <= 4:
         assert not whole["nonconstant"].all()  # constant rows went through the groups too
 
