@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -40,9 +41,8 @@ from .moments import (
     lemma22_check,
     moment_curve,
 )
-from .search import SearchJob, _tables, chunk_stats, metric_columns
-from . import search as search_mod
-from .spectrum import group_rows, walk_scratch, wht
+from . import search
+from .spectrum import group_rows, wht
 
 _VIOLATION_TOL = 1e-9
 
@@ -120,7 +120,7 @@ def _load_function(args) -> BooleanFunction:
         if args.n is not None:
             raise ValueError("--n needs --fn; drop --n")
         return make_family(FamilySpec.parse(args.family))
-    if args.fn:
+    if args.fn is not None:
         if args.n is None:
             raise ValueError("--fn requires --n")
         return BooleanFunction.from_hex(args.n, args.fn)
@@ -168,6 +168,11 @@ def _metric_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()  # SearchJob refuses the empty list
 
 
+def _text(lines) -> str:
+    """A bare text payload: each line ends in a newline."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def _cmd_analyze(args):
     f = _load_function(args)
     return _fingerprint(f, args.fn), "ok", analyze(f)
@@ -179,7 +184,7 @@ def _cmd_spectrum(args):
     if args.format == "csv":
         lines = ["mask,coeff"]
         lines += [f"{mask},{int(c)}" for mask, c in enumerate(spectrum.coeffs)]
-        return None, "ok", "\n".join(lines)
+        return None, "ok", _text(lines)
     payload = {
         "n": spectrum.n,
         "coeffs": [int(c) for c in spectrum.coeffs],
@@ -196,7 +201,7 @@ def _cmd_moments(args):
     if args.format == "csv":
         lines = ["eps,value"]
         lines += [f"{_fmt_float(e)},{_fmt_float(v)}" for e, v in zip(curve.eps, curve.values)]
-        return None, "ok", "\n".join(lines)
+        return None, "ok", _text(lines)
     return _fingerprint(f, args.fn), "ok", curve
 
 
@@ -368,7 +373,7 @@ def _verify_theorem(args):
             raise ValueError("--random samples at --n; drop --max-n")
         if args.n is None or args.seed is None:
             raise ValueError("--random needs --n and --seed")
-        jobs = [SearchJob(n=args.n, mode="sample", count=args.random, seed=args.seed)]
+        jobs = [search.SearchJob(n=args.n, mode="sample", count=args.random, seed=args.seed)]
         mode = {"mode": "sample", "n": args.n, "count": args.random, "seed": args.seed}
     else:
         stray = [flag for flag, v in (("--n", args.n), ("--seed", args.seed)) if v is not None]
@@ -376,26 +381,25 @@ def _verify_theorem(args):
             raise ValueError(f"--n and --seed need --random; drop {' '.join(stray)}")
         max_n = 4 if args.max_n is None else args.max_n
         _check_max_n(max_n)
-        jobs = [SearchJob(n=n, mode="exhaustive") for n in range(1, max_n + 1)]
+        jobs = [search.SearchJob(n=n, mode="exhaustive") for n in range(1, max_n + 1)]
         mode = {"mode": "exhaustive", "max_n": max_n}
     checked = 0
     violations = 0
     max_ratio = -math.inf
     witness = None
     for job in jobs:
-        scratch = walk_scratch(group_rows(job.n) << job.n)
         for chunk in range(job.total_chunks):
-            stats = chunk_stats(job, chunk, scratch)
+            stats = search.chunk_stats(job, chunk)
             keep = stats["nonconstant"]
             checked += int(np.count_nonzero(keep))
             ent, bound, drop = stats["entropy"], stats["bound"], stats["bound_drop_one"]
             bad = keep & ((ent > bound + _VIOLATION_TOL) | (ent > drop + _VIOLATION_TOL))
             violations += int(np.count_nonzero(bad))
-            ratio = np.where(keep, metric_columns(stats)["ent_over_bound"], -np.inf)
+            ratio = np.where(keep, search.metric_columns(stats)["ent_over_bound"], -np.inf)
             top = int(np.argmax(ratio))
             if ratio[top] > max_ratio:  # chunks come in index order
                 max_ratio = float(ratio[top])
-                row = _tables(job, [chunk * job.chunk_size + top])[0]
+                row = search._tables(job, [chunk * job.chunk_size + top])[0]
                 witness = {"n": job.n, "fn": from_sign_bits(row).to_hex()}
     payload = {
         **mode,
@@ -511,7 +515,7 @@ def _resolve_workers(value: int | None) -> int:
 
 def _cmd_search(args):
     workers = _resolve_workers(args.workers)
-    fields = [field.name for field in dataclasses.fields(SearchJob)]
+    fields = [field.name for field in dataclasses.fields(search.SearchJob)]
     given = {name: getattr(args, name) for name in fields if name in args}
     if args.resume:
         if not args.checkpoint:
@@ -519,19 +523,17 @@ def _cmd_search(args):
         if given:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ValueError(f"--resume takes the job from the checkpoint; drop {flags}")
-        records = search_mod.resume(args.checkpoint, workers=workers)
+        records = search.resume(args.checkpoint, workers=workers)
     else:
         if "n" not in given:
             raise ValueError("search requires --n")
         if "checkpoint_every" in given and not args.checkpoint:
             raise ValueError("--checkpoint-every needs --checkpoint")
-        job = SearchJob(**{"mode": "exhaustive", **given})
-        records = search_mod.run(job, checkpoint_path=args.checkpoint, workers=workers)
-    lines = [render_json(r.as_dict()) for r in records]
-    bad = any(
-        r.metric == "ent_over_bound" and r.value > 1.0 + _VIOLATION_TOL for r in records
-    )
-    return lines, bad
+        job = search.SearchJob(**{"mode": "exhaustive", **given})
+        records = search.run(job, checkpoint_path=args.checkpoint, workers=workers)
+    bad = any(r.metric == "ent_over_bound" and r.value > 1.0 + _VIOLATION_TOL for r in records)
+    # bare JSON lines, no envelope; a sweep of constant tables prints nothing
+    return None, ("violation" if bad else "ok"), _text(render_json(r.as_dict()) for r in records)
 
 
 def main(argv=None) -> int:
@@ -540,19 +542,23 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", help="entropy, influences, bounds, concentration")
+    p.set_defaults(handler=_cmd_analyze)
     _add_fn_args(p)
 
     p = sub.add_parser("spectrum", help="integer Walsh-Hadamard coefficients")
+    p.set_defaults(handler=_cmd_spectrum)
     _add_fn_args(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("moments", help="restriction-moment curve over eps")
+    p.set_defaults(handler=_cmd_moments)
     _add_fn_args(p)
     p.add_argument("--coords", help="comma-separated coordinate set (default: all)")
     p.add_argument("--eps", help="eps grid: START:STOP:STEP or comma list")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("chain", help="coordinate-by-coordinate moment chain")
+    p.set_defaults(handler=_cmd_chain)
     _add_fn_args(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--order", help="comma-separated coordinate order")
@@ -561,29 +567,35 @@ def main(argv=None) -> int:
     vsub = p.add_subparsers(dest="what", required=True)
     for kind in ("lemma24", "eq27"):
         vp = vsub.add_parser(kind)
+        vp.set_defaults(handler=functools.partial(_verify_scalar, kind))
         vp.add_argument("--grid", type=parse_int, default=200)
         vp.add_argument("--eps", help="eps values: START:STOP:STEP or comma list")
         vp.add_argument("--random", type=parse_int, help="additional random triples")
         vp.add_argument("--seed", type=parse_int)
     vp = vsub.add_parser("lemma22")
+    vp.set_defaults(handler=_verify_lemma22)
     vp.add_argument("--trials", type=parse_int, default=1000)
     vp.add_argument("--max-n", type=parse_int, default=10)
     vp.add_argument("--seed", type=parse_int, default=0)
     vp = vsub.add_parser("lemma31")
+    vp.set_defaults(handler=_verify_lemma31)
     vp.add_argument("--trials", type=parse_int, default=500)
     vp.add_argument("--max-n", type=parse_int, default=8)
     vp.add_argument("--seed", type=parse_int, default=0)
     vp.add_argument("--eps", help="eps values: START:STOP:STEP or comma list")
     vp = vsub.add_parser("theorem")
+    vp.set_defaults(handler=_verify_theorem)
     vp.add_argument("--max-n", type=parse_int, help="exhaustive mode: largest n (default 4)")
     vp.add_argument("--random", type=parse_int, help="sampled mode: number of functions")
     vp.add_argument("--n", type=parse_int, help="dimension for --random")
     vp.add_argument("--seed", type=parse_int)
 
     p = sub.add_parser("q31", help="cross-term mass over influence, per coordinate")
+    p.set_defaults(handler=_cmd_q31)
     _add_fn_args(p)
 
     p = sub.add_parser("search", help="extremal sweep over truth tables")
+    p.set_defaults(handler=_cmd_search)
     job = {"default": argparse.SUPPRESS}  # only given job flags reach args
     p.add_argument("--n", type=parse_int, **job)
     p.add_argument("--mode", choices=("exhaustive", "sample"), **job)
@@ -597,42 +609,20 @@ def main(argv=None) -> int:
     p.add_argument("--workers", type=parse_int)
 
     p = sub.add_parser("family", help="named family instance report")
+    p.set_defaults(handler=_cmd_family)
     p.add_argument("--family", required=True)
     p.add_argument("--emit-hex", action="store_true")
     p.add_argument("--targets", help="comma list of report sections")
 
-    handlers = {
-        "analyze": _cmd_analyze,
-        "spectrum": _cmd_spectrum,
-        "moments": _cmd_moments,
-        "chain": _cmd_chain,
-        "q31": _cmd_q31,
-        "family": _cmd_family,
-    }
     try:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        if args.cmd == "search":
-            lines, violated = _cmd_search(args)
-            for line in lines:
-                print(line)
-            return 2 if violated else 0
-        if args.cmd == "verify":
-            verifiers = {
-                "lemma24": lambda a: _verify_scalar("lemma24", a),
-                "eq27": lambda a: _verify_scalar("eq27", a),
-                "lemma22": _verify_lemma22,
-                "lemma31": _verify_lemma31,
-                "theorem": _verify_theorem,
-            }
-            fingerprint, status, payload = verifiers[args.what](args)
+        fingerprint, status, payload = args.handler(args)
+        if isinstance(payload, str):  # CSV, or search's JSON lines: no envelope
+            print(payload, end="")
         else:
-            fingerprint, status, payload = handlers[args.cmd](args)
-        if isinstance(payload, str):  # CSV body
-            print(payload)
-            return 0
-        print(_envelope(argv, fingerprint, status, payload))
+            print(_envelope(argv, fingerprint, status, payload))
         return 2 if status == "violation" else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _changes, _halves, partial_hadamard_inplace, sign_spectrum
+from .spectrum import _changes, _halves, partial_hadamard_inplace
 
 LN2 = math.log(2.0)
 
@@ -263,8 +263,7 @@ def entropy_from_moment_derivative(f: BooleanFunction, h: float = 1e-5) -> float
     """
     if not 0.0 < h <= 1e-3:
         raise ValueError(f"step h must lie in (0, 1e-3], got {h}")
-    work = sign_spectrum(f.bits())
-    m_h, m_half = _power_sums(work, f.n, f.n, (h, h / 2.0)).tolist()
+    m_half, m_h = moment_curve(f, range(1, f.n + 1), (h / 2.0, h)).values
     d_h = (m_h - 1.0) / h
     d_half = (m_half - 1.0) / (h / 2.0)
     return -(2.0 * d_half - d_h) / LN2

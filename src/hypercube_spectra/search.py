@@ -28,7 +28,7 @@ import numpy as np
 from .boolfn import MAX_N, BooleanFunction
 from .entropy import AnalysisReport, _entropy_bits, analyze, entropy_terms, influence_floats
 from .inequality import q31_numerators, q31_worst
-from .spectrum import group_rows, walk_scratch, walk_spectrum
+from .spectrum import group_rows, walk_spectrum
 
 METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen_slack")
 
@@ -113,19 +113,17 @@ class ExtremalRecord:
         }
 
 
-def batch_stats(bits: np.ndarray, scratch: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     """Spectral statistics for a (batch, 2^n) sign-bit matrix, vectorised.
 
     Influence numerators stay integral; everything else is float.  Rows
     for constant functions carry zeros in the ratio columns and False in
-    'nonconstant'.  One walk_spectrum pass, in `scratch` if given (sized
-    as the walk says), writes the entropy terms; then one float64 |c| pass
-    gives each row's largest |c|, for the min-entropy, and the q31 sums.
+    'nonconstant'.  One walk_spectrum pass writes the entropy terms; then
+    one float64 |c| pass gives each row's largest |c|, for the min-entropy,
+    and the q31 sums.
     """
     n = bits.shape[-1].bit_length() - 1
-    coeffs, spare, inf_num = walk_spectrum(
-        bits, lambda _, squared, out: entropy_terms(squared, out), scratch
-    )
+    coeffs, spare, inf_num = walk_spectrum(bits, lambda _, sq, out: entropy_terms(sq, out))
     term_sum = spare.sum(axis=-1)
     magnitudes = np.abs(coeffs, out=spare)  # exact: |c| <= 2^24
     top = magnitudes.max(axis=-1)
@@ -194,24 +192,21 @@ def _tables(job: SearchJob, indices) -> np.ndarray:
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :size]
 
 
-def chunk_stats(job: SearchJob, chunk: int, scratch=None) -> dict[str, np.ndarray]:
+def chunk_stats(job: SearchJob, chunk: int) -> dict[str, np.ndarray]:
     """batch_stats columns of one chunk, filled from its row groups in index order.
 
-    A group of group_rows(n) tables is drawn, walked in `scratch` (a
-    walk_scratch for one group, if given) and dropped, so batch_stats stays
-    in L2 cache and no array holds the chunk's tables; a whole 4096-row
-    chunk at n = 12 streamed 128 MB per array through DRAM.  chunk_size
-    alone fixes checkpoints and job_hash.
+    A group of group_rows(n) tables is drawn, walked and dropped, so
+    batch_stats stays in L2 cache and no array holds the chunk's tables; a
+    whole 4096-row chunk at n = 12 streamed 128 MB per array through DRAM.
+    chunk_size alone fixes checkpoints and job_hash.
     """
     first = chunk * job.chunk_size
     stop = min(first + job.chunk_size, job.total_indices)
     rows = group_rows(job.n)
-    if scratch is None:
-        scratch = walk_scratch(rows << job.n)
     columns = {}  # filled in place: a join of held group columns raised a sweep's peak ~1 MB
     for start in range(first, stop, rows):
         end = min(start + rows, stop)
-        for key, column in batch_stats(_tables(job, np.arange(start, end)), scratch).items():
+        for key, column in batch_stats(_tables(job, np.arange(start, end))).items():
             if key not in columns:
                 columns[key] = np.empty((stop - first, *column.shape[1:]), column.dtype)
             columns[key][start - first : end - first] = column
@@ -229,9 +224,9 @@ def _smallest_table(job: SearchJob, indices: np.ndarray) -> int:
     return min(smallest)
 
 
-def _chunk_best(job: SearchJob, chunk_index: int, scratch=None) -> dict[str, tuple[float, int]]:
+def _chunk_best(job: SearchJob, chunk_index: int) -> dict[str, tuple[float, int]]:
     """Each metric's best (value, smallest tied table) over one chunk; ties are drawn again."""
-    stats = chunk_stats(job, chunk_index, scratch)
+    stats = chunk_stats(job, chunk_index)
     keep = stats["nonconstant"]
     if not keep.any():
         return {}
@@ -320,13 +315,11 @@ def _sweep(
     # The executor forks every worker it is given at its first submit, so
     # it gets no more than there are chunks to run or CPUs to run them.
     workers = min(workers, stop - first_chunk, os.cpu_count() or 1)
-    # A serial sweep walks every chunk in one scratch; pooled chunks make their own.
-    scratch = None if workers > 1 else walk_scratch(group_rows(job.n) << job.n)
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run_chunks = pool.map if pool else map
         for start in range(first_chunk, stop, every) or (first_chunk,):
             batch = range(start, min(start + every, stop))
-            for result in run_chunks(_chunk_best, repeat(job), batch, repeat(scratch)):
+            for result in run_chunks(_chunk_best, repeat(job), batch):
                 for metric, cand in result.items():
                     _keep_better(best, metric, cand)
             if checkpoint_path:

@@ -188,14 +188,7 @@ def group_rows(n: int) -> int:
     return max(1, _GROUP_ENTRIES >> n)
 
 
-def walk_scratch(entries: int) -> np.ndarray:
-    """Scratch for a walk_spectrum pass over tables of `entries` entries in all, or fewer."""
-    return np.empty(3 * entries // 2 + min(entries, _GROUP_ENTRIES))
-
-
-def walk_spectrum(
-    bits: np.ndarray, fill, scratch: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def walk_spectrum(bits: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass over the float32 spectra of sign-bit tables (rows, 2^n) in L2-sized blocks.
 
     A block is group_rows(n) whole tables (the last may hold fewer) or a
@@ -203,11 +196,10 @@ def walk_spectrum(
     and added to its tables' influence marginals; then fill(block,
     squares, out) may use `out`, the block's slice of the transform's
     stage buffers, free by then, viewed as float64 entries.  The stage
-    buffers, then the coefficients, and the block of squares live in
-    `scratch` if given, walk_scratch(bits.size) or larger: a sweep passes
-    one to all its row groups, so no group allocates (and page-faults in)
-    fresh memory.  Returns the coefficients and that buffer as the fills
-    left them, both (rows, 2^n), and the influence numerators 4^n I_k, (rows, n).
+    buffers, then the coefficients, and the block of squares live in one
+    scratch the walk allocates.  Returns the coefficients and that buffer
+    as the fills left them, both (rows, 2^n), and the influence numerators
+    4^n I_k, (rows, n).
     """
     # Exact: |c| <= 2^n <= 2^24 fits float32, c^2 <= 2^48 fits float64,
     # and the marginals, and their products with 0/1 bit matrices, are
@@ -215,13 +207,14 @@ def walk_spectrum(
     rows, size = bits.shape
     n = size.bit_length() - 1
     lo, entries = n // 2, bits.size
-    if scratch is None:
-        scratch = walk_scratch(entries)
+    block = min(entries, _GROUP_ENTRIES)
+    # float64 entries: the float32 stage pair, the float32 coefficients and
+    # a block of squares, 640 KB for a search row group of 2^15 entries
+    scratch = np.empty(3 * entries // 2 + block)
     spare = scratch[:entries]
     coeffs = scratch[entries : 3 * entries // 2].view(np.float32).reshape(rows, size)
     sign_spectrum(bits, coeffs, spare.view(np.float32))
     del bits  # frees a one-table caller's sign bits before the block pass
-    block = min(entries, _GROUP_ENTRIES)
     per = min(size, block)  # entries of one table in a block
     squared, flat = scratch[3 * entries // 2 :][:block], coeffs.reshape(-1)
     by_low, by_high = np.zeros((rows, 1 << lo)), np.empty(entries >> lo)

@@ -25,7 +25,8 @@ from hypercube_spectra.entropy import (
     influence_floats,
 )
 from hypercube_spectra.search import _tables, chunk_stats
-from hypercube_spectra.spectrum import partial_hadamard_inplace
+from hypercube_spectra.moments import LN2, _power_sums
+from hypercube_spectra.spectrum import partial_hadamard_inplace, sign_spectrum
 
 
 def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
@@ -165,6 +166,14 @@ def butterfly_spectrum(bits: np.ndarray) -> np.ndarray:
     """
     n = bits.shape[-1].bit_length() - 1
     return partial_hadamard_inplace(1 - 2 * bits.astype(np.int64), range(n))
+
+
+def derivative_entropy_oracle(f: BooleanFunction, h: float) -> float:
+    """entropy_from_moment_derivative with M_{[n],eps} from the full spectrum, sign_spectrum."""
+    m_h, m_half = _power_sums(sign_spectrum(f.bits()), f.n, f.n, (h, h / 2.0)).tolist()
+    d_h = (m_h - 1.0) / h
+    d_half = (m_half - 1.0) / (h / 2.0)
+    return -(2.0 * d_half - d_h) / LN2
 
 
 def parseval_sums(bits: np.ndarray) -> np.ndarray:

@@ -76,6 +76,11 @@ def test_family_refuses_stray_n(capsys, cmd):
     # an empty --fn is still given: not ignored, nor hashed as the input
     code, out, _ = run_cli(capsys, *cmd, "--family", "parity:s=3", "--fn", "")
     _assert_error_envelope(code, out, "give either --fn or --family, not both")
+    # alone, an empty --fn reaches the hex parser and gets its real error
+    code, out, _ = run_cli(capsys, *cmd, "--fn", "", "--n", "3")
+    _assert_error_envelope(code, out, "hex for n=3 must have exactly 2 digits, got 0")
+    code, out, _ = run_cli(capsys, *cmd)
+    _assert_error_envelope(code, out, "an input function is required")
 
 
 def test_unknown_flag_is_exit_one(capsys):
@@ -379,28 +384,6 @@ def test_verify_theorem_witness_is_first_strict_maximum(capsys, argv, jobs, ties
     assert (payload["max_entropy_over_bound"], payload["witness_of_max"]) == (best, witness)
 
 
-def test_serial_sweeps_walk_every_chunk_in_one_scratch(monkeypatch, capsys):
-    seen = []  # (table size, scratch) per row group; holding them keeps every id distinct
-    real = search.batch_stats
-
-    def spy(bits, scratch=None):
-        seen.append((bits.shape[-1], scratch))
-        return real(bits, scratch)
-
-    monkeypatch.setattr(search, "batch_stats", spy)
-    job = SearchJob(n=4, mode="exhaustive", chunk_size=4096)
-    assert run_search(job, workers=1) is not None
-    assert len(seen) == 32 and job.total_chunks == 16  # two row groups per chunk
-    assert all(scratch is seen[0][1] for _, scratch in seen)
-    seen.clear()
-    code, _, _ = run_cli(capsys, "verify", "theorem", "--max-n", "4")
-    assert code == 0
-    scratches = {}
-    for size, scratch in seen:
-        scratches.setdefault(size, set()).add(id(scratch))
-    assert {size: len(ids) for size, ids in scratches.items()} == {2: 1, 4: 1, 8: 1, 16: 1}
-
-
 def test_verify_theorem_is_bounded(capsys):
     # exhaustive n=5 would sweep 2^32 tables; the search job guards refuse it
     code, out, _ = run_cli(capsys, "verify", "theorem", "--max-n", "5")
@@ -507,6 +490,13 @@ def test_search_cli_json_lines(capsys):
     records = [json.loads(line) for line in lines]
     assert [r["metric"] for r in records] == sorted(r["metric"] for r in records)
     assert all("context" in r for r in records)
+
+
+def test_search_cli_prints_nothing_when_every_table_is_constant(capsys):
+    # the one sampled n = 1 table at seed 0 is constant: no record, no line, no envelope
+    code, out, err = run_cli(capsys, "search", "--mode", "sample", "--n", "1", "--count", "1",
+                             "--seed", "0", "--workers", "1")
+    assert (code, out, err) == (0, "", "")
 
 
 def test_search_cli_worker_env_fallback(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_moment, random_function, relabelled
+from conftest import brute_moment, derivative_entropy_oracle, random_function, relabelled
 from hypercube_spectra import (
     BooleanFunction,
     analyze,
@@ -232,6 +232,16 @@ def test_derivative_matches_entropy_random():
         ent = analyze(f).entropy_bits
         approx = entropy_from_moment_derivative(f)
         assert approx == pytest.approx(ent, abs=max(1e-6, 1e-6 * ent))
+
+
+@pytest.mark.parametrize("h", [1e-5, 3e-4, 1e-3])
+def test_derivative_reads_the_moment_curve_bit_for_bit(h):
+    # moment_curve's butterflies give sign_spectrum's integers in the same
+    # order, so the derivative keeps every bit of the full-spectrum route
+    rng = np.random.default_rng(int(h * 1e5))
+    for n in (*range(1, 13), 16, 18):
+        for f in (random_function(rng, n), random_function(rng, n)):
+            assert entropy_from_moment_derivative(f, h) == derivative_entropy_oracle(f, h)
 
 
 def test_derivative_step_validation():

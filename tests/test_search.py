@@ -303,9 +303,9 @@ def test_chunk_witness_is_smallest_tied_table(job):
 def test_grouped_chunk_equals_one_whole_chunk_call(monkeypatch, job, chunk, sizes):
     groups = []
 
-    def spy(bits, *rest):
+    def spy(bits):
         groups.append(len(bits))
-        return batch_stats(bits, *rest)
+        return batch_stats(bits)
 
     monkeypatch.setattr(search, "batch_stats", spy)
     joined = search.chunk_stats(job, chunk)
@@ -338,9 +338,9 @@ def test_grouped_chunk_equals_one_whole_chunk_call(monkeypatch, job, chunk, size
 def test_batch_stats_never_sees_more_than_one_group(monkeypatch, capsys, argv):
     shapes = []
 
-    def spy(bits, *rest):
+    def spy(bits):
         shapes.append(bits.shape)
-        return batch_stats(bits, *rest)
+        return batch_stats(bits)
 
     monkeypatch.setattr(search, "batch_stats", spy)
     assert cli.main(argv) == 0

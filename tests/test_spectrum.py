@@ -30,7 +30,6 @@ from hypercube_spectra.spectrum import (
     partial_hadamard_inplace,
     sign_spectrum,
     stage_widths,
-    walk_scratch,
     walk_spectrum,
 )
 
@@ -204,19 +203,20 @@ def test_influence_numerators_at_the_n24_ceiling():
 
 
 @pytest.mark.parametrize("n, rows", [(12, 8), (16, 1)])
-def test_walk_in_a_given_scratch_allocates_no_block_of_squares(n, rows):
-    # A sweep's scratch holds the block of 2^15 float64 squares (256 KB), so a
-    # walk in it allocates only the marginals and small temporaries.
+def test_walk_allocates_its_one_scratch_and_no_block_of_squares_per_block(n, rows):
+    # The walk's scratch holds the stage pair, the coefficients and the block
+    # of 2^15 float64 squares (256 KB); beyond it a walk allocates only the
+    # marginals and small temporaries, not a block of squares per block.
     bits = np.random.default_rng(n).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
-    scratch = walk_scratch(bits.size)
+    scratch_bytes = (3 * bits.size // 2 + min(bits.size, 1 << 15)) * 8
     tracemalloc.start()
     try:
-        got = walk_spectrum(bits, lambda *_: None, scratch)[2]
+        got = walk_spectrum(bits, lambda *_: None)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, _walk_numerators(bits))
-    assert peak < (1 << 15) * 8
+    assert peak - scratch_bytes < (1 << 15) * 8
 
 
 def test_weighted_degree_sum_identity():
