@@ -70,10 +70,20 @@ def _power_sums(
 
     The result has shape (len(eps_values), ...): one moment per eps and row.
     """
-    # A row's sum along the last axis is bitwise the sum of that row alone,
-    # so a batch of rows gives each table the moments it gets by itself.
-    squared = transformed.astype(np.float64) ** 2 / 4.0**m  # exact: |c| <= 2^m
-    sums = [np.power(squared, 1.0 + eps).sum(axis=-1) for eps in eps_values]
+    # Every entry is an integer c with |c| <= 2^m, so its term is one of the
+    # 2^m + 1 powers of (k / 2^m)^2, k = 0..2^m (exact: k^2 <= 2^48).  Gathered
+    # by |c|, each sits where a power of the whole table would put it, so
+    # every row's sum keeps its bits; a row's sum along the last axis is
+    # bitwise the sum of that row alone, whatever batch it is in.
+    index = np.abs(transformed)
+    sums = []
+    for eps in eps_values:
+        table = np.arange((1 << m) + 1, dtype=np.float64)
+        table *= table
+        table /= 4.0**m
+        np.power(table, 1.0 + eps, out=table)
+        sums.append(table[index].sum(axis=-1))  # an int32 index is not copied to intp
+        del table  # one table at a time: at m = 24 it is as large as the data
     return np.array(sums) / 2.0 ** (n - m)
 
 
@@ -98,7 +108,11 @@ def moment_curve(
     v = _check_coords(coords, f.n, "coordinate set")
     if not v:
         return MomentCurve((), grid, tuple(1.0 for _ in grid))
-    work = partial_hadamard_inplace(f.values(), [k - 1 for k in v])
+    # int32 is exact: after j passes each value is a sum of 2^j entries +-1,
+    # so every value and every table index |c| is <= 2^n <= 2^24 < 2^31
+    # (test_moment_curve_at_the_int32_edge reaches |c| = 2^24).
+    work = partial_hadamard_inplace(np.subtract(1, f.bits() << 1, dtype=np.int32),
+                                    [k - 1 for k in v])
     return MomentCurve(tuple(v), grid, tuple(_power_sums(work, len(v), f.n, grid).tolist()))
 
 
@@ -197,7 +211,9 @@ def chain_batch(
     # math.fsum is correctly rounded, so each chain's floors may be summed in any order.
     telescoped = [[1.0 - math.fsum(row) for row in chain] for chain in (-floors).tolist()]
     values = np.empty((rows, len(eps_values), n))
-    work = np.subtract(1, bits << 1, dtype=np.int64)
+    # int32 is exact, as in moment_curve: after depth + 1 passes every value
+    # and every gather index |c| is <= 2^(depth+1) <= 2^24 < 2^31.
+    work = np.subtract(1, bits << 1, dtype=np.int32)
     for depth in range(n):
         step = orders[:, depth]
         for coord in set(step.tolist()):

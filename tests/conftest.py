@@ -25,7 +25,7 @@ from hypercube_spectra.entropy import (
     influence_floats,
 )
 from hypercube_spectra.search import _tables, chunk_stats
-from hypercube_spectra.moments import LN2, _power_sums
+from hypercube_spectra.moments import LN2
 from hypercube_spectra.spectrum import partial_hadamard_inplace, sign_spectrum
 
 
@@ -168,9 +168,22 @@ def butterfly_spectrum(bits: np.ndarray) -> np.ndarray:
     return partial_hadamard_inplace(1 - 2 * bits.astype(np.int64), range(n))
 
 
+def power_sums_oracle(
+    transformed: np.ndarray, m: int, n: int, eps_values
+) -> np.ndarray:
+    """moments._power_sums by one np.power per eps over every entry of the table.
+
+    transformed is (..., 2^n) with 2^m-scaled restricted coefficients; the
+    result is (len(eps_values), ...).
+    """
+    squared = transformed.astype(np.float64) ** 2 / 4.0**m  # exact: |c| <= 2^m
+    sums = [np.power(squared, 1.0 + eps).sum(axis=-1) for eps in eps_values]
+    return np.array(sums) / 2.0 ** (n - m)
+
+
 def derivative_entropy_oracle(f: BooleanFunction, h: float) -> float:
     """entropy_from_moment_derivative with M_{[n],eps} from the full spectrum, sign_spectrum."""
-    m_h, m_half = _power_sums(sign_spectrum(f.bits()), f.n, f.n, (h, h / 2.0)).tolist()
+    m_h, m_half = power_sums_oracle(sign_spectrum(f.bits()), f.n, f.n, (h, h / 2.0)).tolist()
     d_h = (m_h - 1.0) / h
     d_half = (m_half - 1.0) / (h / 2.0)
     return -(2.0 * d_half - d_h) / LN2

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_moment, derivative_entropy_oracle, random_function, relabelled
+from conftest import (
+    brute_moment,
+    derivative_entropy_oracle,
+    peak_probe,
+    power_sums_oracle,
+    random_function,
+    relabelled,
+)
 from hypercube_spectra import (
     BooleanFunction,
     analyze,
@@ -18,8 +25,49 @@ from hypercube_spectra import (
     parity,
     step_floor,
 )
+from hypercube_spectra.moments import _power_sums
+from hypercube_spectra.spectrum import partial_hadamard_inplace
 
 EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)  # the default eps set of `verify lemma31`
+
+
+# eps sets that reach _power_sums: lemma31's default, the derivative's
+# (h/2, h) stencils, and eps = 0, which moment_curve accepts
+POWER_SUM_EPS = (EPS7, *((h / 2.0, h) for h in (1e-5, 3e-4, 1e-3)), (0.0,))
+
+
+@pytest.mark.parametrize("eps_values", POWER_SUM_EPS)
+def test_power_sums_read_from_the_table_bit_for_bit(eps_values):
+    # real butterflies on random sign tables, so every |c| <= 2^m; compared
+    # on the whole batch, on a row offset view and on picked rows
+    rng = np.random.default_rng(sum(int(e * 1e6) for e in eps_values))
+    for n in (*range(1, 13), 20):
+        m = int(rng.integers(1, n + 1))
+        rows = int(rng.integers(1, min(200, (1 << 22) >> n) + 1))
+        bits = rng.integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
+        work = np.subtract(1, bits << 1, dtype=np.int32)
+        partial_hadamard_inplace(work, rng.choice(n, size=m, replace=False).tolist())
+        k = int(rng.integers(0, rows))
+        picked = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False))
+        for table in (work, work[k:], work[picked]):
+            ours = _power_sums(table, m, n, eps_values)
+            assert np.array_equal(ours, power_sums_oracle(table, m, n, eps_values))
+
+
+@pytest.mark.parametrize("table", [0, (1 << (1 << 24)) - 1], ids=["plus_one", "minus_one"])
+def test_moment_curve_at_the_int32_edge(table):
+    # a constant at n = 24: after all 24 passes c(empty) = +-2^24, the largest
+    # butterfly value and table index, and every other entry is 0
+    curve = moment_curve(BooleanFunction(24, table), range(1, 25), (0.0, 0.1, 0.49))
+    assert curve.values == (1.0, 1.0, 1.0)
+
+
+def test_moments_n24_runs_in_bounded_memory():
+    # int32 butterflies, their |c| and one float64 table of 2^24 + 1 powers;
+    # a second resident 2^24 float64 table would add 128 MB
+    code, lines, peak_mb = peak_probe("moments", "--family", "tribes:w=4,s=6", "--eps", "0.1")
+    assert (code, lines) == (0, 1)
+    assert peak_mb < 470.0
 
 
 def test_moment_conventions():
