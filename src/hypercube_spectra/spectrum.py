@@ -18,11 +18,11 @@ import numpy as np
 from .boolfn import BooleanFunction
 
 
-# Table entries per cache block: 256 KB per float64 array, so a block's
+# Table entries per cache block: 512 KB per float64 array, so a block's
 # arrays stay in a 2 MB L2 cache from one step of a pass to the next.
 # walk_spectrum reads spectra in blocks of it, and the sweeps hand it row
 # groups of as many entries (group_rows).  Not a setting.
-_GROUP_ENTRIES = 1 << 15
+_GROUP_ENTRIES = 1 << 16
 
 
 def _halves(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,16 +47,17 @@ def _sylvester(d: int) -> np.ndarray:
 
 
 def stage_widths(n: int) -> list[int]:
-    """Bits per stage of sign_spectrum: balanced, <= 6 each, or <= 3 from n = 20."""
+    """Bits per stage of sign_spectrum: balanced, at most 5 each, widest first."""
     # A d-bit stage costs 2^d multiply-adds per entry and one pass over the
-    # row.  Below n = 20 passes are cheap and wide stages as fast or faster;
-    # above, arithmetic dominates (the best WHT split depends on the machine:
-    # Johnson and Pueschel, ICASSP 2000).  Width 6 -> 3, medians of 7 on a
-    # 2-CPU host, OpenBLAS 0.3.31: n = 19 3.5 -> 4.1 ms, n = 20 8.1 -> 7.8,
-    # n = 22 47.6 -> 36.5, n = 24 236 -> 192 (one BLAS thread: n = 22 75.5
-    # -> 47.7, n = 24 500 -> 374 ms); widths 2, 4 and 5 were slower than 3.
-    stages = -(-n // (3 if n >= 20 else 6))
-    return [n * (s + 1) // stages - n * s // stages for s in range(stages)]
+    # table; the best WHT split depends on the machine (Johnson and
+    # Pueschel, ICASSP 2000).  Medians of 9 interleaved rounds on a 2-CPU
+    # host, OpenBLAS 0.3.31, widths <= 5 against <= 6: n=12 x 16 rows 0.110
+    # against 0.145 ms, n = 22 18.1 against 22.3 ms, n = 24 161 against 150
+    # ms (n = 10 and 20 split alike); widest first against last: n = 7 x 512
+    # rows 0.086 against 0.122 ms, n = 22 17.7 against 19.6, n = 24 145
+    # against 158 ms.
+    stages = -(-n // 5)
+    return [(n + stages - 1 - s) // stages for s in range(stages)]
 
 
 def sign_spectrum(
@@ -67,45 +68,43 @@ def sign_spectrum(
     1 marks f(x) = -1, n <= 24, and leading axes are a batch.  The result
     goes into `out` (float32 or float64, bits' shape; both hold every
     |c| <= 2^24 exactly) or a new int64 array; `scratch` (float32,
-    2 * bits.size entries) holds the two stage buffers.  The n
-    index bits run through the stages of stage_widths(n): a stage of d
-    bits is one product H_d @ x^T per row, which transforms the low d bits
-    and rotates them to the top, so the last stage restores the index
-    order.  A single stage (n <= 6) is x @ H_d over groups of rows.
+    2 * bits.size entries) holds the two stage buffers.  The n index bits
+    run through the stages of stage_widths(n), each at a fixed position:
+    a stage of d bits at bit p is the product H_d @ x over the (2^d, 2^p)
+    slices of each row, or x @ H_d over groups of whole rows when p = 0.
+    Nothing rotates, so the last stage leaves the index order as it is.
     """
-    # Exact in float32.  After j transformed bits each entry of the +-1
-    # table is a sum of 2^j terms +-1, so |x| <= 2^j.  A stage over d more
-    # bits adds 2^d terms +-x: the products are exact, and every partial
-    # sum, in whatever order, blocking, FMA use or thread count BLAS picks,
-    # is an integer of magnitude <= 2^(j+d) <= 2^n <= 2^24, which float32's
-    # 24-bit significand holds.  So every host gets the butterflies' integers.
+    # Exact in float32.  After j transformed bits, whichever they are, each
+    # entry of the +-1 table is a sum of 2^j terms +-1, so |x| <= 2^j.  A
+    # stage over d more bits adds 2^d terms +-x: the products are exact, and
+    # every partial sum, in whatever order, blocking, FMA use or thread
+    # count BLAS picks, is an integer of magnitude <= 2^(j+d) <= 2^n <= 2^24,
+    # which float32's 24-bit significand holds.  So every host gets the
+    # butterflies' integers.
     size = bits.shape[-1]
     n = size.bit_length() - 1
     if scratch is None:
         scratch = np.empty(2 * bits.size, dtype=np.float32)
     src, dst = scratch.reshape(2, -1, size)
     rows = src.shape[0]
-    np.subtract(np.float32(1), bits.reshape(rows, size) << 1, out=src)
+    np.multiply(bits.reshape(rows, size), np.float32(-2), out=src)  # no uint8 temporary
+    src += 1
+    low = 1  # 2^p: the entries below the stage's bits
     for d in stage_widths(n):
         block = 1 << d
-        if block == size:
-            # One stage spans the whole row and rotates nothing.  H_d is
-            # symmetric, so a group of rows is the one product X @ H_d,
-            # not one tiny product per row.  A product holds at most 2^12
-            # entries, as one row's product does at n = 12, so BLAS runs
-            # it on the calling thread: a product over a whole search row
-            # group (2^15 entries) would be split over threads and then
-            # wait for a second CPU, which on a loaded host makes its time
-            # spread.
-            group = min(rows & -rows, 4096 >> d)
+        if low == 1:
+            # One product holds at most 2^12 entries of whole rows, or one
+            # row if a row is longer, so BLAS runs a search group's products
+            # on the calling thread: a product over a whole row group would
+            # be split over threads and then wait for a second CPU, which
+            # on a loaded host makes its time spread.
+            group = max(size, min(rows & -rows, 4096 >> n) * size) >> d
             np.matmul(src.reshape(-1, group, block), _sylvester(d),
                       out=dst.reshape(-1, group, block))
         else:
-            np.matmul(
-                _sylvester(d),
-                src.reshape(rows, -1, block).swapaxes(-1, -2),
-                out=dst.reshape(rows, block, -1),
-            )
+            np.matmul(_sylvester(d), src.reshape(-1, block, low),
+                      out=dst.reshape(-1, block, low))
+        low <<= d
         src, dst = dst, src
     if out is None:
         out = np.empty(bits.shape, dtype=np.int64)
@@ -209,7 +208,7 @@ def walk_spectrum(bits: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray, np.nd
     lo, entries = n // 2, bits.size
     block = min(entries, _GROUP_ENTRIES)
     # float64 entries: the float32 stage pair, the float32 coefficients and
-    # a block of squares, 640 KB for a search row group of 2^15 entries
+    # a block of squares, 1.28 MB for a search row group of 2^16 entries
     scratch = np.empty(3 * entries // 2 + block)
     spare = scratch[:entries]
     coeffs = scratch[entries : 3 * entries // 2].view(np.float32).reshape(rows, size)

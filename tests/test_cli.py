@@ -312,8 +312,9 @@ def test_verify_lemma31_refuses_bad_eps_before_drawing(monkeypatch, capsys, eps)
 def test_lemma22_sweep_runs_in_bounded_memory():
     # 600 trials up to n = 18 fill a first block of 581 trials (2^24 table
     # entries), 22 of them at n = 18.  One batch of those 22 tables peaked at
-    # 154 MB; capped at 2^15 entries, a batch is one such table and the run
-    # peaks near 45 MB, as the one-trial-at-a-time loop did (43 MB).
+    # 154 MB; capped at _GROUP_ENTRIES = 2^16 entries, a batch is one such
+    # table and the run peaks near 45 MB, as the one-trial-at-a-time loop
+    # did (43 MB).
     code, lines, peak_mb = peak_probe("verify", "lemma22", "--trials", "600", "--max-n", "18",
                                       "--seed", "1")
     assert (code, lines) == (0, 1)

@@ -28,6 +28,7 @@ from hypercube_spectra import (
     wht,
 )
 from hypercube_spectra.cli import render_json
+from hypercube_spectra.spectrum import _GROUP_ENTRIES
 
 LN2 = math.log(2.0)
 
@@ -112,7 +113,13 @@ def test_concentration_on_cumulative_boundaries():
         assert analyze(f, deltas) == analyze_oracle(f, deltas)
 
 
-@pytest.mark.parametrize("n", [*range(1, 15), 16, 20])  # 2^15-entry blocks: 2 at n=16, 32 at n=20
+# blocks of _GROUP_ENTRIES = 2^_BLOCK_BITS entries: n = _BLOCK_BITS + 1 walks
+# 2 of them and n = _BLOCK_BITS + 5 walks 32, whatever the constant; n = 16
+# and n = 20 walk 1 and 16 at 2^16
+_BLOCK_BITS = _GROUP_ENTRIES.bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 16, 20, _BLOCK_BITS + 1, _BLOCK_BITS + 5])
 def test_analyze_matches_whole_table_oracle(n):
     rng = np.random.default_rng(600 + n)
     for _ in range(6):

@@ -280,24 +280,34 @@ def test_chunk_witness_is_smallest_tied_table(job):
         assert later > 0  # where the first tied group did not hold the witness
 
 
+def _groups(tables: int, rows: int) -> list[int]:
+    """Row groups of a chunk of `tables` tables, `rows` to a full group."""
+    return [rows] * (tables // rows) + ([tables % rows] if tables % rows else [])
+
+
+_N1, _N4, _N8 = group_rows(1), group_rows(4), group_rows(8)
+_N4_CHUNK = _N4 + 952  # a full group and a short one
+_N4_LAST = (1 << 16) // _N4_CHUNK  # the last chunk of the 2^16 n = 4 tables
+
+
 @pytest.mark.parametrize(
     "job, chunk, sizes",
     [
         pytest.param(SearchJob(n=1, mode="exhaustive"), 0, [4], id="n1-exhaustive"),
-        pytest.param(SearchJob(n=1, mode="sample", count=20000, seed=3, chunk_size=20000), 0,
-                     [16384, 3616], id="n1-sample"),
-        pytest.param(SearchJob(n=4, mode="exhaustive", chunk_size=3000), 0, [2048, 952],
+        pytest.param(SearchJob(n=1, mode="sample", count=_N1 + 3616, seed=3,
+                               chunk_size=_N1 + 3616), 0, [_N1, 3616], id="n1-sample"),
+        pytest.param(SearchJob(n=4, mode="exhaustive", chunk_size=_N4_CHUNK), 0, [_N4, 952],
                      id="n4-first"),
-        pytest.param(SearchJob(n=4, mode="exhaustive", chunk_size=3000), 21, [2048, 488],
-                     id="n4-last"),
-        pytest.param(SearchJob(n=8, mode="sample", count=300, seed=5), 0, [128, 128, 44],
-                     id="n8"),
-        pytest.param(SearchJob(n=10, mode="sample", count=4100, seed=5), 0, [32] * 128,
-                     id="n10-full"),
+        pytest.param(SearchJob(n=4, mode="exhaustive", chunk_size=_N4_CHUNK), _N4_LAST,
+                     _groups((1 << 16) - _N4_LAST * _N4_CHUNK, _N4), id="n4-last"),
+        pytest.param(SearchJob(n=8, mode="sample", count=2 * _N8 + 44, seed=5), 0,
+                     [_N8, _N8, 44], id="n8"),
+        pytest.param(SearchJob(n=10, mode="sample", count=4100, seed=5), 0,
+                     _groups(4096, group_rows(10)), id="n10-full"),
         pytest.param(SearchJob(n=10, mode="sample", count=4100, seed=5), 1, [4],
                      id="n10-short"),
-        pytest.param(SearchJob(n=12, mode="sample", count=300, seed=5), 0, [8] * 37 + [4],
-                     id="n12"),
+        pytest.param(SearchJob(n=12, mode="sample", count=300, seed=5), 0,
+                     _groups(300, group_rows(12)), id="n12"),
     ],
 )
 def test_grouped_chunk_equals_one_whole_chunk_call(monkeypatch, job, chunk, sizes):

@@ -27,6 +27,8 @@ from hypercube_spectra import (
     wht,
 )
 from hypercube_spectra.spectrum import (
+    _GROUP_ENTRIES,
+    group_rows,
     partial_hadamard_inplace,
     sign_spectrum,
     stage_widths,
@@ -65,11 +67,12 @@ def test_wht_matches_brute_force():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batched_transform_matches_butterflies(n):
-    # n = 1..6 is one whole-row stage over groups of rows (96 rows make
-    # groups of 32, a 4096-row search chunk groups of 4096 >> n); n = 7..12
-    # split into two stages, unequal for odd n
+    # one stage up to n = 5, two up to n = 10, three at n = 11 and 12; the
+    # first stage multiplies groups of whole rows (2^12 entries at most),
+    # which odd row counts leave one row each, and a full search row group
+    # of group_rows(n) rows holds several such groups
     rng = np.random.default_rng(100 + n)
-    for count in (5, 96, 4096 if n <= 6 else 7):
+    for count in (1, 5, 97, group_rows(n) - 1, group_rows(n)):
         bits = rng.integers(0, 2, size=(count, 1 << n), dtype=np.uint8)
         expected = butterfly_spectrum(bits)
         got = sign_spectrum(bits)
@@ -84,26 +87,25 @@ def test_batched_transform_matches_butterflies(n):
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_stage_plan_covers_every_bit_once(n):
-    # each stage transforms the low d bits of the index and rotates them
-    # to the top: every bit must be transformed once, in the original order
+    # a stage of d bits works at bit p, the sum of the earlier widths, and
+    # leaves every other bit where it is: the stages' bit ranges must tile
+    # 0..n-1, each bit transformed once, in as few balanced stages as <= 5
+    # bits allow, the widest first
     widths = stage_widths(n)
-    assert max(widths) <= (3 if n >= 20 else 6)
-    assert len(widths) == -(-n // (3 if n >= 20 else 6))  # balanced: no stage wasted
+    assert max(widths) <= 5
+    assert len(widths) == -(-n // 5)  # no stage wasted
     assert max(widths) - min(widths) <= 1
-    labels = list(range(n))
-    transformed = []
-    for d in widths:
-        transformed += labels[:d]
-        labels = labels[d:] + labels[:d]
-    assert sorted(transformed) == list(range(n))
-    assert labels == list(range(n))
+    assert widths == sorted(widths, reverse=True)
+    positions = np.cumsum([0, *widths[:-1]]).tolist()
+    transformed = [p + b for p, d in zip(positions, widths) for b in range(d)]
+    assert transformed == list(range(n))
 
 
-@pytest.mark.parametrize("n", (20, 21, 22, 24))
+@pytest.mark.parametrize("n", range(13, 25))
 def test_single_table_transform_matches_butterflies(n):
-    # stages of at most 3 bits: 7 at n = 20 (one of them of 2 bits) and
-    # n = 21, 8 at n = 22 and 24; into int64 (wht) and into float32, as
-    # analyze and q31 take it
+    # three stages up to n = 15, four up to n = 20, five from n = 21; the
+    # first stage's product spans the one row; into int64 (wht) and into
+    # float32, as analyze and q31 take it
     f = random_function(np.random.default_rng(n), n)
     expected = butterfly_spectrum(f.bits())
     assert (wht(f).coeffs == expected).all()
@@ -202,13 +204,17 @@ def test_influence_numerators_at_the_n24_ceiling():
     assert _walk_numerators(parity(24).bits()[None]).tolist() == [[4**24] * 24]
 
 
-@pytest.mark.parametrize("n, rows", [(12, 8), (16, 1)])
+# part of and a whole search row group at n = 12; one table of one block
+# (2^16 entries) and one of two
+@pytest.mark.parametrize(
+    "n, rows", [(12, 8), (12, group_rows(12)), (16, 1), (_GROUP_ENTRIES.bit_length(), 1)]
+)
 def test_walk_allocates_its_one_scratch_and_no_block_of_squares_per_block(n, rows):
     # The walk's scratch holds the stage pair, the coefficients and the block
-    # of 2^15 float64 squares (256 KB); beyond it a walk allocates only the
+    # of _GROUP_ENTRIES float64 squares; beyond it a walk allocates only the
     # marginals and small temporaries, not a block of squares per block.
     bits = np.random.default_rng(n).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
-    scratch_bytes = (3 * bits.size // 2 + min(bits.size, 1 << 15)) * 8
+    scratch_bytes = (3 * bits.size // 2 + min(bits.size, _GROUP_ENTRIES)) * 8
     tracemalloc.start()
     try:
         got = walk_spectrum(bits, lambda *_: None)[2]
@@ -216,7 +222,7 @@ def test_walk_allocates_its_one_scratch_and_no_block_of_squares_per_block(n, row
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, _walk_numerators(bits))
-    assert peak - scratch_bytes < (1 << 15) * 8
+    assert peak - scratch_bytes < _GROUP_ENTRIES * 8
 
 
 def test_weighted_degree_sum_identity():
@@ -233,11 +239,12 @@ def test_batch_stats_matches_single_function_paths():
     from hypercube_spectra import analyze, q31_report
 
     rng = np.random.default_rng(8)
-    # one, two unequal, two equal and three stages; from n = 13 on, the
-    # squares and the q31 sums of |c| products pass float32's 2^24; the
-    # walk takes 2^15-entry blocks: three n = 14 rows end in a short block,
-    # an n = 16 or 17 row spans several
-    for n, count in ((5, 40), (9, 12), (12, 4), (14, 3), (16, 2), (17, 1)):
+    # one, two unequal, two equal, three and four stages; from n = 13 on,
+    # the squares and the q31 sums of |c| products pass float32's 2^24; the
+    # walk takes blocks of 2^g entries: three rows of 2^(g-1) end in a short
+    # block, a row of 2^(g+1) or 2^(g+2) spans several
+    g = _GROUP_ENTRIES.bit_length() - 1
+    for n, count in ((5, 40), (9, 12), (10, 6), (12, 4), (g - 1, 3), (g + 1, 2), (g + 2, 1)):
         fns = [random_function(rng, n) for _ in range(count)]
         bits = np.stack([f.bits() for f in fns])
         stats = batch_stats(bits)
