@@ -169,8 +169,8 @@ def _metric_list(text: str) -> tuple[str, ...]:
 
 
 def _text(lines) -> str:
-    """A bare text payload: each line ends in a newline."""
-    return "".join(f"{line}\n" for line in lines)
+    """A bare text payload: each line ends in a newline; one join, no second list of lines."""
+    return "\n".join([*lines, ""])
 
 
 def _cmd_analyze(args):

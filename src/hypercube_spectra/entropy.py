@@ -69,7 +69,7 @@ def concentration_count(magnitudes: np.ndarray, deltas: Sequence[float]) -> tupl
 
 
 def influence_floats(influences: np.ndarray) -> dict[str, np.ndarray]:
-    """Float statistics of the influences I_k on the last axis.
+    """Float statistics of the influences I_k on the first axis; trailing axes are a batch.
 
     total = I(f); term_sum = sum_k I_k log2(1/I_k); bound = (3 I(f) +
     sum_k I_k ln(4/I_k)) / ln 2; bound_drop_one drops the largest term, as
@@ -79,19 +79,19 @@ def influence_floats(influences: np.ndarray) -> dict[str, np.ndarray]:
     invariant under relabelling; x ln(4/x) increases on [0, 1], so the
     largest term is the last.
     """
-    n = influences.shape[-1]
-    inf = np.sort(influences, axis=-1)
-    total = inf.sum(axis=-1)  # exact: multiples of 4^-n summing to at most n
+    n = len(influences)
+    inf = np.sort(influences, axis=0)
+    total = inf.sum(axis=0)  # exact: multiples of 4^-n summing to at most n
     with np.errstate(divide="ignore", invalid="ignore"):
         log_inf = np.log(inf)
         terms = np.where(inf > 0.0, inf * (LN4 - log_inf), 0.0)
-        term_sum = np.where(inf > 0.0, -inf * log_inf, 0.0).sum(axis=-1) / LN2
+        term_sum = np.where(inf > 0.0, -inf * log_inf, 0.0).sum(axis=0) / LN2
         cap = np.where(total > 0.0, total * np.log2(n / total), 0.0)
     return {
         "total": total,
         "term_sum": term_sum,
-        "bound": (3.0 * total + terms.sum(axis=-1)) / LN2,
-        "bound_drop_one": (3.0 * total + terms[..., :-1].sum(axis=-1)) / LN2,
+        "bound": (3.0 * total + terms.sum(axis=0)) / LN2,
+        "bound_drop_one": (3.0 * total + terms[:-1].sum(axis=0)) / LN2,
         "jensen_cap": cap,
     }
 

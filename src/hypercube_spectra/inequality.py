@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _halves, walk_spectrum
+from .spectrum import walk_spectrum
 
 DEFAULT_EPS_LIST = tuple(0.01 + 0.02 * k for k in range(25))  # 0.01 .. 0.49
 
@@ -167,30 +167,31 @@ class Q31Report:
 
 
 def q31_numerators(magnitude: np.ndarray) -> np.ndarray:
-    """4^n N_k = sum_{S not cont. k} |c_S c_{S+k}|, shape (..., n).
+    """4^n N_k = sum_{S not cont. k} |c_S c_{S+k}|, shape (n, ...).
 
-    `magnitude` holds the integer |c_S| along its last axis, as int64 or
-    float64; any leading axes are a batch.  Both are exact for every
+    `magnitude` holds the integer |c_S| along its first axis, as int64 or
+    float64; any trailing axes are a batch.  Both are exact for every
     n <= 24.  By AM-GM, |c_S c_{S+k}| <= (c_S^2 + c_{S+k}^2) / 2, and each
     S appears in one pair only, so every partial sum is an integer of at
     most sum_S c_S^2 / 2 = 2^(2n-1) <= 2^47 (Parseval), below both int64's
     and float64's exact range (2^53), whatever the summation order.
     """
-    n = magnitude.shape[-1].bit_length() - 1
-    out = np.empty((*magnitude.shape[:-1], n), dtype=np.int64)
-    for k in range(n):
-        out[..., k] = np.einsum("...ij,...ij->...", *_halves(magnitude, k))
+    n, batch = len(magnitude).bit_length() - 1, magnitude.shape[1:]
+    out = np.empty((n, *batch), dtype=np.int64)
+    for k in range(n):  # pairs[:, 0] holds the S without bit k, pairs[:, 1] each S xor 2^k
+        pairs = magnitude.reshape(-1, 2, 1 << k, *batch)
+        out[k] = np.einsum("ij...,ij...->...", pairs[:, 0], pairs[:, 1])
     return out
 
 
 def q31_worst(q31_num: np.ndarray, influence_num: np.ndarray) -> np.ndarray:
-    """Float max_k N_k / I_k on the last axis; -inf where every I_k = 0.
+    """Float max_k N_k / I_k on the first axis; -inf where every I_k = 0.
 
     One rounding of integers below 2^53, so it equals float(Q31Report.worst).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(influence_num > 0, q31_num / np.maximum(influence_num, 1), -np.inf)
-    return ratio.max(axis=-1)
+    return ratio.max(axis=0)
 
 
 def q31_report(f: BooleanFunction) -> Q31Report:

@@ -137,7 +137,9 @@ def lemma22_batch(
     """
     rows, size = bits.shape
     n = size.bit_length() - 1
-    work = np.subtract(1, bits << 1, dtype=np.int64)
+    # int32 is exact, as in chain_batch: after the passes on J's bits each |value|
+    # <= 2^|J| <= 2^24, squared in int64 (test_lemma22_at_the_int32_edge: 2^24).
+    work = np.subtract(1, bits << 1, dtype=np.int32)
     for bit in range(n):
         _butterfly_rows(work, np.flatnonzero((j_masks >> bit) & 1), bit)
     weights = np.empty(rows, dtype=np.int64)
@@ -146,7 +148,7 @@ def lemma22_batch(
         share = np.flatnonzero(ks == k)
         whole = share.size == rows  # a single table is not copied
         _, hit = _halves(work if whole else work[share], k - 1)
-        weights[share] = (hit**2).sum(axis=(-2, -1))  # <= 2^(n+|J|), exact in int64
+        weights[share] = np.square(hit, dtype=np.int64).sum(axis=(-2, -1))  # <= 2^(n+|J|)
         changes[share] = _changes(bits if whole else bits[share], k - 1)
     return weights, changes
 

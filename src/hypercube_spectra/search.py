@@ -36,6 +36,7 @@ METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen
 _MINIMIZED = frozenset({"jensen_slack"})
 
 CHECKPOINT_FORMAT = 3
+MAX_CHUNK_SIZE = 1 << 20  # rows; a chunk's batch_stats columns take 257 B a row at n = 24: 270 MB
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class SearchJob:
                 raise ValueError(f"unknown metric {m!r}; known: {', '.join(METRICS)}")
         if len(set(self.metrics)) != len(self.metrics):
             raise ValueError("metrics must not repeat")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        if not 1 <= self.chunk_size <= MAX_CHUNK_SIZE:
+            raise ValueError(f"chunk_size must be in [1, {MAX_CHUNK_SIZE}], got {self.chunk_size}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
         if self.mode == "exhaustive":
@@ -119,17 +120,30 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     Influence numerators stay integral; everything else is float.  Rows
     for constant functions carry zeros in the ratio columns and False in
     'nonconstant'.  One walk_spectrum pass writes the entropy terms; then
-    one float64 |c| pass gives each row's largest |c|, for the min-entropy,
-    and the q31 sums.
+    float64 |c| in the spare buffer gives each row's largest |c|, for the
+    min-entropy, and the q31 sums.
     """
     n = bits.shape[-1].bit_length() - 1
     coeffs, spare, inf_num = walk_spectrum(bits, lambda _, sq, out: entropy_terms(sq, out))
     term_sum = spare.sum(axis=-1)
-    magnitudes = np.abs(coeffs, out=spare)  # exact: |c| <= 2^24
-    top = magnitudes.max(axis=-1)
+    # The row statistics take the entry axis first.  numpy reduces a row in
+    # one inner-loop call, so below n = 8 |c| and the influences go to
+    # contiguous columns and every max, sort and sum runs down vectors of
+    # one entry per row: per group, n = 4 x 4096 rows 1.99 -> 1.21 ms, n = 7 x
+    # 512 -13% (medians, 2-CPU host).  numpy sums fewer than 8 contiguous
+    # float64 entries left to right, as a sum down columns does, so the bits
+    # stay.  From n = 8 on, .T views keep numpy's order on contiguous rows.
+    if n < 8:
+        magnitudes = np.abs(coeffs.T, out=spare.reshape(-1, len(coeffs)))  # exact: |c| <= 2^24
+        numerators = np.ascontiguousarray(inf_num.T)
+    else:
+        magnitudes, numerators = np.abs(coeffs, out=spare).T, inf_num.T
+    top = magnitudes.max(axis=0)
     entropy, min_entropy = _entropy_bits(n, term_sum, top * top)
-    worst = q31_worst(q31_numerators(magnitudes), inf_num)
-    floats = influence_floats(inf_num / 4.0**n)
+    worst = q31_worst(q31_numerators(magnitudes), numerators)
+    influences = numerators / 4.0**n
+    del numerators  # the column copy is not held through influence_floats' temporaries
+    floats = influence_floats(influences)
     return {
         "nonconstant": floats["total"] > 0.0,
         "entropy": entropy,

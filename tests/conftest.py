@@ -19,6 +19,7 @@ from hypercube_spectra import (
 )
 from hypercube_spectra.entropy import (
     DEFAULT_DELTAS,
+    LN4,
     Concentration,
     _entropy_bits,
     entropy_terms,
@@ -26,7 +27,7 @@ from hypercube_spectra.entropy import (
 )
 from hypercube_spectra.search import _tables, chunk_stats
 from hypercube_spectra.moments import LN2
-from hypercube_spectra.spectrum import partial_hadamard_inplace, sign_spectrum
+from hypercube_spectra.spectrum import _halves, partial_hadamard_inplace, sign_spectrum
 
 
 def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
@@ -150,6 +151,46 @@ def analyze_oracle(f: BooleanFunction, deltas=DEFAULT_DELTAS) -> AnalysisReport:
         jensen_cap_bits=float(floats["jensen_cap"]) if total else None,
         concentration=tuple(map(Concentration, map(float, deltas), concentration)),
     )
+
+
+# The row statistics as they were written before they took the entry axis
+# first: each row's entries on the last axis, leading axes a batch.  The
+# entries-first forms must give these bits in every layout.
+
+
+def influence_floats_rows(influences: np.ndarray) -> dict[str, np.ndarray]:
+    """influence_floats with the influences I_k on the last axis."""
+    n = influences.shape[-1]
+    inf = np.sort(influences, axis=-1)
+    total = inf.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_inf = np.log(inf)
+        terms = np.where(inf > 0.0, inf * (LN4 - log_inf), 0.0)
+        term_sum = np.where(inf > 0.0, -inf * log_inf, 0.0).sum(axis=-1) / LN2
+        cap = np.where(total > 0.0, total * np.log2(n / total), 0.0)
+    return {
+        "total": total,
+        "term_sum": term_sum,
+        "bound": (3.0 * total + terms.sum(axis=-1)) / LN2,
+        "bound_drop_one": (3.0 * total + terms[..., :-1].sum(axis=-1)) / LN2,
+        "jensen_cap": cap,
+    }
+
+
+def q31_numerators_rows(magnitude: np.ndarray) -> np.ndarray:
+    """q31_numerators with |c_S| on the last axis: shape (..., n)."""
+    n = magnitude.shape[-1].bit_length() - 1
+    out = np.empty((*magnitude.shape[:-1], n), dtype=np.int64)
+    for k in range(n):
+        out[..., k] = np.einsum("...ij,...ij->...", *_halves(magnitude, k))
+    return out
+
+
+def q31_worst_rows(q31_num: np.ndarray, influence_num: np.ndarray) -> np.ndarray:
+    """q31_worst with the coordinates on the last axis."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(influence_num > 0, q31_num / np.maximum(influence_num, 1), -np.inf)
+    return ratio.max(axis=-1)
 
 
 def chunk_columns(job, chunk: int) -> tuple[np.ndarray, dict]:

@@ -25,7 +25,7 @@ from hypercube_spectra import (
     parity,
     step_floor,
 )
-from hypercube_spectra.moments import _power_sums
+from hypercube_spectra.moments import _power_sums, lemma22_batch
 from hypercube_spectra.spectrum import partial_hadamard_inplace
 
 EPS7 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)  # the default eps set of `verify lemma31`
@@ -167,6 +167,17 @@ def test_lemma22_examples():
 def test_lemma22_validation():
     with pytest.raises(ValueError):
         lemma22_check(majority(3), [1, 2], 3)
+
+
+def test_lemma22_at_the_int32_edge():
+    # parity at n = 24 with J = 1..24: after the 24 int32 passes the one
+    # nonzero value is c([24]) = +-2^24, the largest, and its int64 square
+    # 2^48 is the weight; parity changes along every edge of coordinate 1
+    bits = parity(24).bits()[None]
+    weights, changes = lemma22_batch(bits, np.array([(1 << 24) - 1]), np.array([1]))
+    assert weights.tolist() == [1 << 48]
+    assert changes.tolist() == [1 << 23]
+    assert (weights == changes << 25).all()  # the identity, |J| + 1 = 25
 
 
 def test_lemma22_exact_equality_random():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,18 @@ from hypercube_spectra import (
     run_search,
 )
 from hypercube_spectra import cli, search
-from hypercube_spectra.search import METRICS, batch_stats
-from hypercube_spectra.spectrum import group_rows
+from hypercube_spectra.entropy import influence_floats
+from hypercube_spectra.inequality import q31_numerators, q31_worst
+from hypercube_spectra.search import MAX_CHUNK_SIZE, METRICS, batch_stats
+from hypercube_spectra.spectrum import _GROUP_ENTRIES, group_rows, walk_spectrum
 
-from conftest import chunk_columns, peak_probe
+from conftest import (
+    chunk_columns,
+    influence_floats_rows,
+    peak_probe,
+    q31_numerators_rows,
+    q31_worst_rows,
+)
 
 
 def test_job_validation():
@@ -368,3 +377,134 @@ def test_sampled_n16_sweep_runs_in_bounded_memory():
                                       "--seed", "1", "--workers", "1")
     assert (code, lines) == (0, len(METRICS))
     assert peak_mb < 200.0
+
+
+def test_chunk_size_is_capped():
+    assert SearchJob(n=1, mode="sample", count=1, seed=1, chunk_size=MAX_CHUNK_SIZE).chunk_size
+    for size in (0, MAX_CHUNK_SIZE + 1):
+        with pytest.raises(ValueError, match="chunk_size must be in"):
+            SearchJob(n=1, mode="sample", count=1, seed=1, chunk_size=size)
+
+
+def test_search_cli_refuses_an_oversized_chunk_before_any_chunk_runs(monkeypatch, capsys):
+    # chunk_stats would ask for 10^12 rows of columns at once (931 GiB)
+    monkeypatch.setattr(search, "_chunk_best", lambda *args: pytest.fail("a chunk ran"))
+    code = cli.main(["search", "--mode", "sample", "--n", "1", "--count", str(10**12),
+                     "--seed", "1", "--chunk-size", str(10**12), "--workers", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert f"chunk_size must be in [1, {MAX_CHUNK_SIZE}]" in doc["payload"]["message"]
+    assert "Traceback" not in err
+
+
+def test_resume_refuses_a_checkpoint_with_an_oversized_chunk(tmp_path):
+    path = tmp_path / "ckpt.json"
+    job = SearchJob(n=2, mode="exhaustive", chunk_size=8)
+    assert run_search(job, checkpoint_path=str(path), max_chunks=1) is None
+    doc = json.loads(path.read_text())
+    doc["job"]["chunk_size"] = MAX_CHUNK_SIZE + 1  # with a job hash that matches it
+    canon = json.dumps(doc["job"], sort_keys=True, separators=(",", ":"))
+    doc["job_hash"] = hashlib.sha256(canon.encode()).hexdigest()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="chunk_size must be in"):
+        resume_search(str(path))
+
+
+# The layout rule of batch_stats: the row statistics take the entry axis
+# first, and below n = 8 they run on contiguous columns, from n = 8 on on
+# .T views of row-major arrays.  Both, and 1-D tables, give the bits of the
+# row forms in conftest.
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _row_group(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign bits, float64 |c| and influence numerators of one row group.
+
+    Rows draw their bits with a bias of their own, so influences run from
+    0 up; the first row is constant and the second a dictator.
+    """
+    rows, size = group_rows(n), 1 << n
+    rng = np.random.default_rng(7000 + n)
+    bits = (rng.random((rows, size)) < rng.random((rows, 1)) ** 3).astype(np.uint8)
+    bits[0] = 0
+    if rows > 1:
+        bits[1] = np.arange(size) & 1
+    _, magnitudes, numerators = walk_spectrum(bits, lambda part, _, out: np.abs(part, out=out))
+    return bits, magnitudes, numerators
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_entries_first_row_statistics_match_the_row_forms_bit_for_bit(n):
+    bits, magnitudes, numerators = _row_group(n)
+    scale = 4.0**n
+    q31_rows = q31_numerators_rows(magnitudes)
+    worst_rows = q31_worst_rows(q31_rows, numerators)
+    floats_rows = influence_floats_rows(numerators / scale)
+    layouts = {"views": (magnitudes.T, numerators.T)}
+    if n < 8:
+        layouts["columns"] = (np.ascontiguousarray(magnitudes.T),
+                              np.ascontiguousarray(numerators.T))
+    for layout, (columns, influences) in layouts.items():
+        q31 = q31_numerators(columns)
+        assert _same_bits(q31, np.ascontiguousarray(q31_rows.T)), layout
+        assert _same_bits(q31_worst(q31, influences), worst_rows), layout
+        for key, column in influence_floats(influences / scale).items():
+            assert _same_bits(column, floats_rows[key]), (layout, key)
+    for row in range(min(len(bits), 4)):  # 1-D tables, as analyze and q31_report pass them
+        q31 = q31_numerators(magnitudes[row])
+        assert _same_bits(q31, q31_rows[row])
+        assert _same_bits(q31_worst(q31, numerators[row]), worst_rows[row])
+        for key, column in influence_floats(numerators[row] / scale).items():
+            assert _same_bits(column, floats_rows[key][row]), key
+    if n <= 10:  # batch_stats on either side of the rule
+        stats = batch_stats(bits)
+        assert _same_bits(stats["q31_worst"], worst_rows)
+        assert _same_bits(stats["influence_num"], numerators)
+        for key, column in floats_rows.items():
+            name = "influence_total" if key == "total" else key
+            assert _same_bits(stats[name], column), key
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_numpy_sums_rows_shorter_than_8_left_to_right(m):
+    # The layout rule keeps the printed bits because numpy sums a float64
+    # row of fewer than 8 contiguous entries left to right, as a sum down
+    # the contiguous columns of its transpose does.  From 8 entries on, numpy
+    # sums rows pairwise in 8 lanes and the orders part; a numpy that
+    # changes either fails here, not in the last bit of a printed float.
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((4096, m)) * np.exp2(rng.integers(-30, 30, (4096, m)))
+    along_rows = x.sum(axis=-1)
+    down_columns = np.ascontiguousarray(x.T).sum(axis=0)
+    assert _same_bits(along_rows, down_columns) == (m < 8)
+
+
+def test_batch_stats_allocates_no_array_of_a_groups_entries(monkeypatch):
+    # At n = 4 a full group is 4096 rows of 16 entries.  |c| goes into the
+    # walk's spare buffer, so while the row statistics run the walk's
+    # scratch is the one live array of 2^16 entries or more; a fresh
+    # transposed copy of |c| would be a second, and cost a sweep about
+    # 10^4 page faults per operation.
+    n, rows = 4, group_rows(4)
+    bits = np.random.default_rng(4).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
+    scratch_bytes = (3 * bits.size // 2 + min(bits.size, _GROUP_ENTRIES)) * 8
+    numpy_blocks = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    large = []
+
+    def spy(magnitudes):
+        traces = tracemalloc.take_snapshot().filter_traces(numpy_blocks).traces
+        large.extend(t.size for t in traces if t.size >= _GROUP_ENTRIES * 4)
+        return q31_numerators(magnitudes)
+
+    monkeypatch.setattr(search, "q31_numerators", spy)
+    tracemalloc.start()
+    try:
+        batch_stats(bits)
+    finally:
+        tracemalloc.stop()
+    assert large == [scratch_bytes]
