@@ -28,6 +28,7 @@ from .boolfn import MAX_N, BooleanFunction, FamilySpec, from_sign_bits, make_fam
 from .entropy import analyze
 from .inequality import (
     DEFAULT_EPS_LIST,
+    GAP_TOLERANCE,
     ScalarGridSpec,
     q31_report,
     sweep_gap,
@@ -207,7 +208,7 @@ def _cmd_moments(args):
 
 def _cmd_chain(args):
     f = _load_function(args)
-    order = _parse_coords(args.order, f.n) if args.order else None
+    order = None if args.order is None else _parse_coords(args.order, f.n)
     (report,) = chain(f, (args.eps,), order=order)
     ok = all(s.delta >= s.floor - _VIOLATION_TOL for s in report.steps)
     ok = ok and report.final >= report.telescoped_floor - _VIOLATION_TOL
@@ -231,7 +232,7 @@ def _verify_scalar(kind: str, args):
     # the random sweep first: an oversized --random is refused before the grid runs
     rand = None if args.random is None else sweep_gap_random(kind, args.random, args.seed)
     result = sweep_gap(kind, grid)
-    payload = {"grid": result, "tolerance": 1e-12}
+    payload = {"grid": result, "tolerance": GAP_TOLERANCE}
     violations = result.violations
     if rand is not None:
         payload["random"] = rand
@@ -533,7 +534,7 @@ def _cmd_search(args):
         records = search.run(job, checkpoint_path=args.checkpoint, workers=workers)
     bad = any(r.metric == "ent_over_bound" and r.value > 1.0 + _VIOLATION_TOL for r in records)
     # bare JSON lines, no envelope; a sweep of constant tables prints nothing
-    return None, ("violation" if bad else "ok"), _text(render_json(r.as_dict()) for r in records)
+    return None, ("violation" if bad else "ok"), _text(map(render_json, records))
 
 
 def main(argv=None) -> int:

@@ -98,7 +98,7 @@ class SweepResult:
     argmin: GapPoint
 
 
-_GAP_TOLERANCE = 1e-12
+GAP_TOLERANCE = 1e-12
 
 
 def _sweep_triples(kind: str, triples) -> SweepResult:
@@ -112,7 +112,7 @@ def _sweep_triples(kind: str, triples) -> SweepResult:
     for a, b, eps in triples:
         gaps = _gap_grid(a, b, eps, upper=(kind == "lemma24"))
         evaluated += gaps.size
-        violations += int(np.count_nonzero(gaps < -_GAP_TOLERANCE))
+        violations += int(np.count_nonzero(gaps < -GAP_TOLERANCE))
         low = int(np.argmin(gaps))
         if gaps[low] < min_gap:
             min_gap = float(gaps[low])

@@ -36,7 +36,7 @@ METRICS = ("ent_over_I", "ent_over_bound", "minent_over_I", "q31_worst", "jensen
 _MINIMIZED = frozenset({"jensen_slack"})
 
 CHECKPOINT_FORMAT = 3
-MAX_CHUNK_SIZE = 1 << 20  # rows; a chunk's batch_stats columns take 257 B a row at n = 24: 270 MB
+MAX_CHUNK_SIZE = 1 << 20  # rows; a chunk's batch_stats columns take 65 B a row: 68 MB
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,8 @@ class SearchJob:
     def total_chunks(self) -> int:
         return -(-self.total_indices // self.chunk_size)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def job_hash(self) -> str:
-        canon = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -101,27 +98,21 @@ class ExtremalRecord:
     metric: str
     value: float
     n: int
-    witness_hex: str
+    witness: str
     context: AnalysisReport
 
-    def as_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "value": self.value,
-            "n": self.n,
-            "witness": self.witness_hex,
-            "context": self.context,
-        }
+    def as_dict(self) -> dict:  # perfbench/workloads.py renders records through it
+        return asdict(self)
 
 
 def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
     """Spectral statistics for a (batch, 2^n) sign-bit matrix, vectorised.
 
-    Influence numerators stay integral; everything else is float.  Rows
-    for constant functions carry zeros in the ratio columns and False in
-    'nonconstant'.  One walk_spectrum pass writes the entropy terms; then
-    float64 |c| in the spare buffer gives each row's largest |c|, for the
-    min-entropy, and the q31 sums.
+    Each column holds one value a row: 'nonconstant' a bool, the rest
+    float64.  Rows for constant functions carry zeros in the ratio columns
+    and False in 'nonconstant'.  One walk_spectrum pass writes the entropy
+    terms; then float64 |c| in the spare buffer gives each row's largest
+    |c|, for the min-entropy, and the q31 sums.
     """
     n = bits.shape[-1].bit_length() - 1
     coeffs, spare, inf_num = walk_spectrum(bits, lambda _, sq, out: entropy_terms(sq, out))
@@ -140,7 +131,11 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
         magnitudes, numerators = np.abs(coeffs, out=spare).T, inf_num.T
     top = magnitudes.max(axis=0)
     entropy, min_entropy = _entropy_bits(n, term_sum, top * top)
-    worst = q31_worst(q31_numerators(magnitudes), numerators)
+    q31 = q31_numerators(magnitudes)
+    # Free the walk scratch now: an n = 4 group then peaks at 1.9 MB, not 2.45 MB.  glibc
+    # trims a free heap top above twice the 1.28 MB scratch, and the next group re-faults it.
+    del coeffs, spare, magnitudes
+    worst = q31_worst(q31, numerators)
     influences = numerators / 4.0**n
     del numerators  # the column copy is not held through influence_floats' temporaries
     floats = influence_floats(influences)
@@ -154,7 +149,6 @@ def batch_stats(bits: np.ndarray) -> dict[str, np.ndarray]:
         "term_sum": floats["term_sum"],
         "jensen_cap": floats["jensen_cap"],
         "q31_worst": worst,
-        "influence_num": inf_num,
     }
 
 
@@ -222,7 +216,7 @@ def chunk_stats(job: SearchJob, chunk: int) -> dict[str, np.ndarray]:
         end = min(start + rows, stop)
         for key, column in batch_stats(_tables(job, np.arange(start, end))).items():
             if key not in columns:
-                columns[key] = np.empty((stop - first, *column.shape[1:]), column.dtype)
+                columns[key] = np.empty(stop - first, column.dtype)
             columns[key][start - first : end - first] = column
     return columns
 
@@ -265,7 +259,7 @@ def _keep_better(best: dict, metric: str, cand: tuple[float, int]) -> None:
 def _write_checkpoint(path: str, job: SearchJob, cursor: int, best: dict) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "job": job.as_dict(),
+        "job": asdict(job),
         "job_hash": job.job_hash(),
         "next_chunk": cursor,
         "total_chunks": job.total_chunks,
@@ -297,15 +291,7 @@ def _finalize(job: SearchJob, best: dict) -> list[ExtremalRecord]:
         if found is None:
             continue
         f = BooleanFunction(job.n, found[1])
-        records.append(
-            ExtremalRecord(
-                metric=metric,
-                value=found[0],
-                n=job.n,
-                witness_hex=f.to_hex(),
-                context=analyze(f),
-            )
-        )
+        records.append(ExtremalRecord(metric, found[0], job.n, f.to_hex(), analyze(f)))
     return records
 
 

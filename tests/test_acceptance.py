@@ -274,14 +274,14 @@ def test_ac9_and_ratio_and_search(capfd):
     first = run(job, workers=1)
     second = run(job, workers=1)
     rec = first[0]
-    witness = BooleanFunction.from_hex(3, rec.witness_hex)
+    witness = BooleanFunction.from_hex(3, rec.witness)
     roundtrip = metric_value("q31_worst", witness) == rec.value
     ok = exact and first == second and roundtrip and rec.value >= 1.5
     report(
         capfd,
         "AC-9 And ratio 2 - 2^(2-n) exact for n=2..10; exhaustive n=3 q31 search",
         ok,
-        f"9 exact ratios; n=3 worst ratio {rec.value:.6f} witness {rec.witness_hex!r} "
+        f"9 exact ratios; n=3 worst ratio {rec.value:.6f} witness {rec.witness!r} "
         "reproducible and round-trips exactly",
     )
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,13 @@ def test_chain_report(capsys):
     assert len(payload["steps"]) == 3
     for step in payload["steps"]:
         assert step["delta"] >= step["floor"] - 1e-9
+
+
+def test_chain_refuses_an_empty_order(capsys):
+    # --order '' is an empty order, not the default one, as --coords '' is the empty set
+    code, out, _ = run_cli(capsys, "chain", "--family", "majority:n=3", "--eps", "0.25",
+                           "--order", "")
+    _assert_error_envelope(code, out, "order must be a permutation of 1..3")
 
 
 def test_q31_report(capsys):
@@ -799,3 +808,22 @@ def test_console_script_is_installed():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["payload"]["entropy_bits"] == 0.0
+
+
+def _help_flags(capsys, argv):
+    """The --flags in argv's --help output and in that of every subcommand under it."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*argv, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", text))
+    subcommands = re.search(r"positional arguments:\n\s+\{([a-z0-9,]+)\}", text)
+    for sub in subcommands.group(1).split(",") if subcommands else ():
+        flags |= _help_flags(capsys, [*argv, sub])
+    return flags
+
+
+def test_readme_names_every_flag_the_parser_takes(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
+    assert _help_flags(capsys, []) - {"--help"} == documented - {"--help"}

@@ -247,7 +247,7 @@ def test_batch_stats_matches_single_function_paths():
     for n, count in ((5, 40), (9, 12), (10, 6), (12, 4), (g - 1, 3), (g + 1, 2), (g + 2, 1)):
         fns = [random_function(rng, n) for _ in range(count)]
         bits = np.stack([f.bits() for f in fns])
-        stats = batch_stats(bits)
+        stats, numerators = batch_stats(bits), _walk_numerators(bits)
         for i, f in enumerate(fns):
             report = analyze(f)
             # and a whole-table int64 oracle, which shares no walk with either
@@ -264,7 +264,7 @@ def test_batch_stats_matches_single_function_paths():
             assert stats["bound_drop_one"][i] == report.bound_drop_one_bits
             assert stats["jensen_cap"][i] == report.jensen_cap_bits
             assert stats["influence_total"][i] == float(influences_combinatorial(f).total)
-            assert stats["influence_num"][i].tolist() == [
+            assert numerators[i].tolist() == [
                 ik * 4**n for ik in influences_combinatorial(f).per_coord
             ]
             # both sides are correctly rounded quotients of the same integers
