@@ -616,18 +616,24 @@ def main(argv=None) -> int:
     p.add_argument("--targets", help="comma list of report sections")
 
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        fingerprint, status, payload = args.handler(args)
-        if isinstance(payload, str):  # CSV, or search's JSON lines: no envelope
-            print(payload, end="")
-        else:
-            print(_envelope(argv, fingerprint, status, payload))
-        return 2 if status == "violation" else 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_envelope(argv, None, "error", {"message": str(exc)}))
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "seed", None) is not None and args.seed < 0:
+                raise ValueError(f"--seed must be non-negative, got {args.seed}")
+            fingerprint, status, payload = args.handler(args)
+            if isinstance(payload, str):  # CSV, or search's JSON lines: no envelope
+                print(payload, end="")
+            else:
+                print(_envelope(argv, fingerprint, status, payload))
+            code = 2 if status == "violation" else 0
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(_envelope(argv, None, "error", {"message": str(exc)}))
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout (`| head`); devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

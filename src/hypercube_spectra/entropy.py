@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import walk_spectrum
+from .spectrum import _GROUP_ENTRIES, walk_spectrum
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -122,20 +122,25 @@ class AnalysisReport:
 def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> AnalysisReport:
     """One-stop spectral report: entropies, influences, bounds, concentration.
 
-    A walk_spectrum pass of one row: each block's entropy terms go into
-    its spare slice, and the block is overwritten with its int32 |c| for
-    the concentration sort.  The entropy terms' one sum keeps numpy's
-    pairwise order, as batch_stats' does.
+    A walk_spectrum pass of one row that leaves the walk's spare array
+    untouched: each block's entropy terms are summed in one block-sized
+    buffer, and the block is overwritten with its int32 |c| for the
+    concentration sort.  numpy sums a contiguous float64 run of 2^n
+    entries pairwise, split at its halves, so adding the block sums in
+    pairs, level by level, gives the bits of one sum over all the terms.
     """
+    terms, sums = np.empty(min(f.size, _GROUP_ENTRIES)), []
 
-    def fill(part, squared, out):
-        entropy_terms(squared, out)
+    def fill(part, squared, _):
+        sums.append(entropy_terms(squared, terms).sum())  # every block of one table is full
         part.view(np.int32)[...] = np.abs(part)  # exact: |c| <= 2^24
 
-    (coeffs,), (terms,), (numerators,) = walk_spectrum(f.bits()[None], fill)
+    (coeffs,), _, (numerators,) = walk_spectrum(f.bits()[None], fill)
+    while len(sums) > 1:  # 2^(n-16) block sums from n = 17 on
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     magnitudes = coeffs.view(np.int32)
     concentration = concentration_count(magnitudes, deltas)  # sorts the magnitudes
-    entropy, min_entropy = _entropy_bits(f.n, terms.sum(), int(magnitudes[-1]) ** 2)
+    entropy, min_entropy = _entropy_bits(f.n, sums[0], int(magnitudes[-1]) ** 2)
     scale = 4**f.n
     floats = influence_floats(numerators / float(scale))
     total = Fraction(int(numerators.sum()), scale)

@@ -67,12 +67,15 @@ def sign_spectrum(
 
     1 marks f(x) = -1, n <= 24, and leading axes are a batch.  The result
     goes into `out` (float32 or float64, bits' shape; both hold every
-    |c| <= 2^24 exactly) or a new int64 array; `scratch` (float32,
-    2 * bits.size entries) holds the two stage buffers.  The n index bits
-    run through the stages of stage_widths(n), each at a fixed position:
-    a stage of d bits at bit p is the product H_d @ x over the (2^d, 2^p)
-    slices of each row, or x @ H_d over groups of whole rows when p = 0.
-    Nothing rotates, so the last stage leaves the index order as it is.
+    |c| <= 2^24 exactly) or a new int64 array.  A contiguous float32 `out`
+    is one of the two stage buffers, and `scratch` (float32, at least
+    bits.size entries) the other, ordered so that the last stage writes
+    `out`; otherwise `scratch` (at least 2 * bits.size) holds both, and
+    the result is copied out.  The n index bits run through the stages of
+    stage_widths(n), each at a fixed position: a stage of d bits at bit p
+    is the product H_d @ x over the (2^d, 2^p) slices of each row, or
+    x @ H_d over groups of whole rows when p = 0.  Nothing rotates, so the
+    last stage leaves the index order as it is.
     """
     # Exact in float32.  After j transformed bits, whichever they are, each
     # entry of the +-1 table is a sum of 2^j terms +-1, so |x| <= 2^j.  A
@@ -82,15 +85,22 @@ def sign_spectrum(
     # which float32's 24-bit significand holds.  So every host gets the
     # butterflies' integers.
     size = bits.shape[-1]
-    n = size.bit_length() - 1
+    n, rows = size.bit_length() - 1, bits.size // size
+    widths = stage_widths(n)
+    if out is None:
+        out = np.empty(bits.shape, dtype=np.int64)
+    in_place = out.dtype == np.float32
     if scratch is None:
-        scratch = np.empty(2 * bits.size, dtype=np.float32)
-    src, dst = scratch.reshape(2, -1, size)
-    rows = src.shape[0]
+        scratch = np.empty((1 if in_place else 2) * bits.size, dtype=np.float32)
+    if in_place:  # the stages alternate buffers, so an odd count starts in scratch
+        pair = out.reshape(rows, size), scratch[: bits.size].reshape(rows, size)
+        src, dst = pair[::-1] if len(widths) % 2 else pair
+    else:
+        src, dst = scratch[: 2 * bits.size].reshape(2, rows, size)
     np.multiply(bits.reshape(rows, size), np.float32(-2), out=src)  # no uint8 temporary
     src += 1
     low = 1  # 2^p: the entries below the stage's bits
-    for d in stage_widths(n):
+    for d in widths:
         block = 1 << d
         if low == 1:
             # One product holds at most 2^12 entries of whole rows, or one
@@ -106,9 +116,8 @@ def sign_spectrum(
                       out=dst.reshape(-1, block, low))
         low <<= d
         src, dst = dst, src
-    if out is None:
-        out = np.empty(bits.shape, dtype=np.int64)
-    out[...] = src.reshape(bits.shape)
+    if not in_place:
+        out[...] = src.reshape(bits.shape)
     return out
 
 
@@ -193,12 +202,14 @@ def walk_spectrum(bits: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray, np.nd
     A block is group_rows(n) whole tables (the last may hold fewer) or a
     _GROUP_ENTRIES slice of one table.  Each block is squared in float64
     and added to its tables' influence marginals; then fill(block,
-    squares, out) may use `out`, the block's slice of the transform's
-    stage buffers, free by then, viewed as float64 entries.  The stage
-    buffers, then the coefficients, and the block of squares live in one
-    scratch the walk allocates.  Returns the coefficients and that buffer
-    as the fills left them, both (rows, 2^n), and the influence numerators
-    4^n I_k, (rows, n).
+    squares, out) may use `out`, the block's slice of a spare float64
+    array of the tables' length.  One scratch the walk allocates holds
+    [spare | float32 coefficients | block of squares]; the transform's
+    last stage writes the coefficients, and its other stage buffer is the
+    front half of spare, viewed as float32 and free by the block pass.
+    Spare pages that no fill writes are never touched.  Returns the
+    coefficients and spare as the fills left them, both (rows, 2^n), and
+    the influence numerators 4^n I_k, (rows, n).
     """
     # Exact: |c| <= 2^n <= 2^24 fits float32, c^2 <= 2^48 fits float64,
     # and the marginals, and their products with 0/1 bit matrices, are
@@ -207,8 +218,9 @@ def walk_spectrum(bits: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray, np.nd
     n = size.bit_length() - 1
     lo, entries = n // 2, bits.size
     block = min(entries, _GROUP_ENTRIES)
-    # float64 entries: the float32 stage pair, the float32 coefficients and
-    # a block of squares, 1.28 MB for a search row group of 2^16 entries
+    # float64 entries: spare, the float32 coefficients and a block of
+    # squares, 1.28 MB for a search row group of 2^16 entries (spare first:
+    # coefficients first made q31_report at n = 22 about 5% slower)
     scratch = np.empty(3 * entries // 2 + block)
     spare = scratch[:entries]
     coeffs = scratch[entries : 3 * entries // 2].view(np.float32).reshape(rows, size)

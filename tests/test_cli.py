@@ -92,6 +92,18 @@ def test_unknown_flag_is_exit_one(capsys):
     _assert_error_envelope(code, out, "unrecognized arguments: --wat")
 
 
+@pytest.mark.parametrize("family", ["parity:s=3", "nosuch:s=3"])
+def test_closed_stdout_exits_one_without_a_traceback(family):
+    # a reader that goes away before the output, as `| head` may: the
+    # report and the error envelope alike end in exit code 1, quietly
+    argv = [sys.executable, "-m", "hypercube_spectra.cli", "analyze", "--family", family]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_spectrum_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "majority:n=3")
     assert code == 0

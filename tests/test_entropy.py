@@ -145,11 +145,36 @@ def test_analyze_matches_whole_table_oracle_at_n24(label):
 
 
 def test_analyze_n24_runs_in_bounded_memory():
-    # one float32 spectrum, its stage buffers reused for the entropy terms,
-    # and the sign bits; the whole-table int64 passes peaked at 423 MB
+    # the float32 coefficients, one float32 stage partner and the sign
+    # bits, with no full-table entropy terms: about 194 MB.  A terms table
+    # in the walk's spare array would fault in 64 MB more, as it did at
+    # 256 MB; the whole-table int64 passes peaked at 423 MB
     code, lines, peak_mb = peak_probe("analyze", "--family", "tribes:w=4,s=6")
     assert (code, lines) == (0, 1)
-    assert peak_mb < 320.0
+    assert peak_mb < 212.0
+
+
+def test_q31_n24_runs_in_bounded_memory():
+    # the float32 coefficients, float64 |c| in the walk's spare array and
+    # the sign bits: about 255 MB
+    code, lines, peak_mb = peak_probe("q31", "--family", "tribes:w=4,s=6")
+    assert (code, lines) == (0, 1)
+    assert peak_mb < 280.0
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_numpy_sums_contiguous_runs_by_halves(n):
+    # analyze adds its 2^16-entry block sums in pairs, level by level, and
+    # keeps the bits of one sum over the whole 2^n terms because numpy sums
+    # a contiguous float64 run of a power of two (>= 2^8) entries pairwise,
+    # split at its half.  A numpy that changes the split fails here, not in
+    # the last bit of a printed entropy.
+    rng = np.random.default_rng(n)
+    x = np.ldexp(rng.standard_normal(1 << n), rng.integers(-30, 30, 1 << n, dtype=np.int32))
+    sums = [block.sum() for block in x.reshape(-1, 1 << 16)]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    assert sums[0] == x.sum()
 
 
 def test_term_sum_examples():

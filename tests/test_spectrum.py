@@ -78,10 +78,10 @@ def test_batched_transform_matches_butterflies(n):
         got = sign_spectrum(bits)
         assert got.dtype == np.int64
         assert (got == expected).all()
-        # into a caller's float32 buffer, with the float32 stage pair in a
-        # caller's scratch, as walk_spectrum calls it
+        # into a caller's float32 buffer, the last stage's, with the other
+        # stage buffer in a caller's scratch of bits.size entries
         out = np.empty(bits.shape, dtype=np.float32)
-        assert sign_spectrum(bits, out, np.empty(2 * bits.size, dtype=np.float32)) is out
+        assert sign_spectrum(bits, out, np.empty(bits.size, dtype=np.float32)) is out
         assert (out == expected).all()
 
 
@@ -105,11 +105,15 @@ def test_stage_plan_covers_every_bit_once(n):
 def test_single_table_transform_matches_butterflies(n):
     # three stages up to n = 15, four up to n = 20, five from n = 21; the
     # first stage's product spans the one row; into int64 (wht) and into
-    # float32, as analyze and q31 take it
+    # float32, as analyze and q31 take it: the last stage writes `out`
+    # whether the stage count is odd (the +-1 table starts in the scratch
+    # of f.size entries) or even (it starts in `out`)
     f = random_function(np.random.default_rng(n), n)
     expected = butterfly_spectrum(f.bits())
     assert (wht(f).coeffs == expected).all()
-    assert (sign_spectrum(f.bits(), np.empty(f.size, dtype=np.float32)) == expected).all()
+    out = np.empty(f.size, dtype=np.float32)
+    assert sign_spectrum(f.bits(), out, np.empty(f.size, dtype=np.float32)) is out
+    assert (out == expected).all()
 
 
 def test_transform_is_exact_at_the_n24_ceiling():
@@ -210,9 +214,10 @@ def test_influence_numerators_at_the_n24_ceiling():
     "n, rows", [(12, 8), (12, group_rows(12)), (16, 1), (_GROUP_ENTRIES.bit_length(), 1)]
 )
 def test_walk_allocates_its_one_scratch_and_no_block_of_squares_per_block(n, rows):
-    # The walk's scratch holds the stage pair, the coefficients and the block
-    # of _GROUP_ENTRIES float64 squares; beyond it a walk allocates only the
-    # marginals and small temporaries, not a block of squares per block.
+    # The walk's scratch holds spare (its front half the stage partner), the
+    # coefficients and the block of _GROUP_ENTRIES float64 squares; beyond it
+    # a walk allocates only the marginals and small temporaries, not a block
+    # of squares per block.
     bits = np.random.default_rng(n).integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
     scratch_bytes = (3 * bits.size // 2 + min(bits.size, _GROUP_ENTRIES)) * 8
     tracemalloc.start()
