@@ -616,25 +616,27 @@ def main(argv=None) -> int:
     p.add_argument("--targets", help="comma list of report sections")
 
     try:
-        try:
-            args = parser.parse_args(argv)
-            if getattr(args, "seed", None) is not None and args.seed < 0:
-                raise ValueError(f"--seed must be non-negative, got {args.seed}")
-            fingerprint, status, payload = args.handler(args)
-            if isinstance(payload, str):  # CSV, or search's JSON lines: no envelope
-                print(payload, end="")
-            else:
-                print(_envelope(argv, fingerprint, status, payload))
-            code = 2 if status == "violation" else 0
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(_envelope(argv, None, "error", {"message": str(exc)}))
-            code = 1
+        args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        fingerprint, status, payload = args.handler(args)
+        if isinstance(payload, str):  # CSV, or search's JSON lines: no envelope
+            text = payload
+        else:
+            text = _envelope(argv, fingerprint, status, payload) + "\n"
+        code = 2 if status == "violation" else 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        text, code = _envelope(argv, None, "error", {"message": str(exc)}) + "\n", 1
+    try:
+        sys.stdout.write(text)
         sys.stdout.flush()
-        return code
     except BrokenPipeError:  # the reader closed stdout (`| head`); devnull takes the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import BooleanFunction
-from .spectrum import _GROUP_ENTRIES, walk_spectrum
+from .spectrum import walk_spectrum
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -129,10 +129,13 @@ def analyze(f: BooleanFunction, deltas: tuple[float, ...] = DEFAULT_DELTAS) -> A
     entries pairwise, split at its halves, so adding the block sums in
     pairs, level by level, gives the bits of one sum over all the terms.
     """
-    terms, sums = np.empty(min(f.size, _GROUP_ENTRIES)), []
+    terms, sums = None, []
 
     def fill(part, squared, _):
-        sums.append(entropy_terms(squared, terms).sum())  # every block of one table is full
+        nonlocal terms
+        if terms is None:  # every block of one table has the first one's size
+            terms = np.empty_like(squared)
+        sums.append(entropy_terms(squared, terms).sum())
         part.view(np.int32)[...] = np.abs(part)  # exact: |c| <= 2^24
 
     (coeffs,), _, (numerators,) = walk_spectrum(f.bits()[None], fill)

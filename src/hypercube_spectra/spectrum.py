@@ -66,16 +66,15 @@ def sign_spectrum(
     """Integer Walsh-Hadamard coefficients of uint8 sign-bit tables (..., 2^n).
 
     1 marks f(x) = -1, n <= 24, and leading axes are a batch.  The result
-    goes into `out` (float32 or float64, bits' shape; both hold every
-    |c| <= 2^24 exactly) or a new int64 array.  A contiguous float32 `out`
-    is one of the two stage buffers, and `scratch` (float32, at least
-    bits.size entries) the other, ordered so that the last stage writes
-    `out`; otherwise `scratch` (at least 2 * bits.size) holds both, and
-    the result is copied out.  The n index bits run through the stages of
-    stage_widths(n), each at a fixed position: a stage of d bits at bit p
-    is the product H_d @ x over the (2^d, 2^p) slices of each row, or
-    x @ H_d over groups of whole rows when p = 0.  Nothing rotates, so the
-    last stage leaves the index order as it is.
+    goes into `out` (float32, bits' shape, contiguous; it holds every
+    |c| <= 2^24 exactly) or, without one, a new int64 array.  `out` is one
+    of the two stage buffers and `scratch` (float32, at least bits.size
+    entries) the other, ordered so that the last stage writes `out`.  The
+    n index bits run through the stages of stage_widths(n), each at a
+    fixed position: a stage of d bits at bit p is the product H_d @ x over
+    the (2^d, 2^p) slices of each row, or x @ H_d over groups of whole
+    rows when p = 0.  Nothing rotates, so the last stage leaves the index
+    order as it is.
     """
     # Exact in float32.  After j transformed bits, whichever they are, each
     # entry of the +-1 table is a sum of 2^j terms +-1, so |x| <= 2^j.  A
@@ -88,15 +87,12 @@ def sign_spectrum(
     n, rows = size.bit_length() - 1, bits.size // size
     widths = stage_widths(n)
     if out is None:
-        out = np.empty(bits.shape, dtype=np.int64)
-    in_place = out.dtype == np.float32
+        return sign_spectrum(bits, np.empty(bits.shape, dtype=np.float32), scratch).astype(np.int64)
     if scratch is None:
-        scratch = np.empty((1 if in_place else 2) * bits.size, dtype=np.float32)
-    if in_place:  # the stages alternate buffers, so an odd count starts in scratch
-        pair = out.reshape(rows, size), scratch[: bits.size].reshape(rows, size)
-        src, dst = pair[::-1] if len(widths) % 2 else pair
-    else:
-        src, dst = scratch[: 2 * bits.size].reshape(2, rows, size)
+        scratch = np.empty(bits.size, dtype=np.float32)
+    # the stages alternate buffers, so an odd count starts in scratch
+    pair = out.reshape(rows, size), scratch[: bits.size].reshape(rows, size)
+    src, dst = pair[::-1] if len(widths) % 2 else pair
     np.multiply(bits.reshape(rows, size), np.float32(-2), out=src)  # no uint8 temporary
     src += 1
     low = 1  # 2^p: the entries below the stage's bits
@@ -116,8 +112,6 @@ def sign_spectrum(
                       out=dst.reshape(-1, block, low))
         low <<= d
         src, dst = dst, src
-    if not in_place:
-        out[...] = src.reshape(bits.shape)
     return out
 
 
